@@ -56,7 +56,6 @@ from .densities import (
     mu_8,
     mu_p,
     mu_real,
-    mu_real_single,
     zeta_identity_gap,
 )
 from .search import (

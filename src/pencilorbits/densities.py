@@ -113,13 +113,6 @@ def mu_real(n: int, samples: int, seed: int, jobs: int = 1) -> MuRealEstimates:
     return MuRealEstimates(n, samples, seed, DYADIC_BITS, tuple(int(c) for c in counts))
 
 
-def mu_real_single(n: int, m: int, samples: int, seed: int) -> WeightedEstimate:
-    """Estimate of a single mu(I(m)) (the whole distribution is computed in
-    the same pass; use mu_real directly when several m are needed)."""
-    mu = mu_real(n, samples, seed)
-    return WeightedEstimate(mu.estimate(m), mu.stderr(m))
-
-
 def archimedean_factor(
     g: int, samples: int, seed: int, mu: MuRealEstimates | None = None, jobs: int = 1
 ) -> WeightedEstimate:

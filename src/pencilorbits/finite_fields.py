@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .forms import BinaryForm, distinct_factor_count_mod_p, is_separable_mod_p
+from .gfpoly import gf_eval
 
 
 class BudgetExceededError(RuntimeError):
@@ -247,22 +248,9 @@ def square_value_count(f: BinaryForm, p: int) -> int:
     if p == 2:
         raise ValueError("defined for odd p")
     squares = {(x * x) % p for x in range(p)}
-    k = 0
-    coeffs = f.coeffs
-    for a in range(p):
-        if _eval_binary_mod(coeffs, a, 1, p) in squares:
-            k += 1
-    if _eval_binary_mod(coeffs, 1, 0, p) in squares:
-        k += 1
-    return k
-
-
-def _eval_binary_mod(coeffs, x, y, p):
-    n = len(coeffs) - 1
-    acc = 0
-    for i in range(n + 1):
-        acc = (acc + coeffs[i] * pow(x, n - i, p) * pow(y, i, p)) % p
-    return acc
+    # f(a, 1) for a in F_p, then f(1, 0) = f0
+    k = sum(gf_eval(f.coeffs, a, p) in squares for a in range(p))
+    return k + (f.coeffs[0] % p in squares)
 
 
 def orbit_statistics_prediction(f: BinaryForm, p: int) -> OrbitStats:

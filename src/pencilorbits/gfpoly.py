@@ -17,6 +17,14 @@ def normalize(p: list[int], mod: int) -> list[int]:
     return q[i:]
 
 
+def gf_eval(a, x, mod):
+    """a(x) mod p by Horner's rule."""
+    acc = 0
+    for c in a:
+        acc = (acc * x + c) % mod
+    return acc
+
+
 def gf_mul(a, b, mod):
     if not a or not b:
         return []

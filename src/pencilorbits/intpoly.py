@@ -121,6 +121,23 @@ def _prem(a: list, b: list) -> list:
     return r
 
 
+def _subresultant_prs(a: list, b: list):
+    """Subresultant PRS of stripped integer polynomials with deg a >= deg b
+    (Brown & Traub): yields (b, r, delta, div, h) once per pseudo-division,
+    where b is the divisor, delta = deg a - deg b, r = prem(a, b) / div is
+    the next element (exact), and h is the updated subresultant scale.
+    Stops after a zero or constant r."""
+    g, h = 1, 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        div = g * h**delta
+        r = [c // div for c in _prem(a, b)]
+        a, b = b, r
+        g = a[0]
+        h = _h_update(g, h, delta)
+        yield a, r, delta, div, h
+
+
 def resultant(p: list, q: list) -> int:
     """Resultant of two integer polynomials (Brown/Cohen subresultant scheme)."""
     a, b = strip(list(p)), strip(list(q))
@@ -133,25 +150,14 @@ def resultant(p: list, q: list) -> int:
         a, b = b, a
     if len(b) - 1 == 0:
         return s * b[0] ** (len(a) - 1)
-    g, h = 1, 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
+    for b, r, delta, _, h in _subresultant_prs(a, b):
+        db = len(b) - 1
+        if db % 2 == 1 and (db + delta) % 2 == 1:
             s = -s
-        r = _prem(a, b)
         if not r:
             return 0
-        div = g * h**delta
-        r = [c // div for c in r]
-        a, b = b, r
-        g = a[0]
-        h = _h_update(g, h, delta)
-        if len(b) - 1 == 0:
-            da = len(a) - 1
-            num = b[0] ** da
-            den = h ** (da - 1)
-            return s * (num // den)
+        if len(r) == 1:
+            return s * (r[0] ** db // h ** (db - 1))
 
 
 def _h_update(g: int, h: int, delta: int) -> int:
@@ -160,7 +166,8 @@ def _h_update(g: int, h: int, delta: int) -> int:
     if delta == 1:
         return g
     q, r = divmod(g**delta, h ** (delta - 1))
-    assert r == 0
+    if r:
+        raise ArithmeticError("inexact subresultant scale update")
     return q
 
 
@@ -179,23 +186,12 @@ def sturm_chain_signs(p: list) -> list[tuple[int, int]] | None:
     b = strip(derivative(a))
     out = [(1 if a[0] > 0 else -1, n), (1 if b[0] > 0 else -1, len(b) - 1)]
     sa, sb = 1, 1
-    g, h = 1, 1
-    while len(b) - 1 > 0:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        lb = b[0]
-        r = _prem(a, b)
+    for b, r, delta, div, _ in _subresultant_prs(a, b):
         if not r:
             return None
-        div = g * h**delta
-        r = [c // div for c in r]
-        slb = 1 if lb > 0 else -1
-        sdiv = 1 if div > 0 else -1
-        sr = -(slb ** (delta + 1)) * sa * sdiv
-        a, sa, b, sb = b, sb, r, sr
-        g = a[0]
-        h = _h_update(g, h, delta)
-        out.append(((1 if b[0] > 0 else -1) * sr, len(b) - 1))
+        sr = -((1 if b[0] > 0 else -1) ** (delta + 1)) * sa * (1 if div > 0 else -1)
+        sa, sb = sb, sr
+        out.append(((1 if r[0] > 0 else -1) * sr, len(r) - 1))
     return out
 
 
@@ -228,26 +224,14 @@ def sturm_chain(p: list) -> list[list]:
     a = strip(list(p))
     if len(a) - 1 <= 0:
         return [a]
-    b = strip(derivative(a))
-    chain = [a, b]
+    chain = [a, strip(derivative(a))]
     sa, sb = 1, 1
-    g, h = 1, 1
-    while len(b) - 1 > 0:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        lb = b[0]
-        r = _prem(a, b)
+    for b, r, delta, div, _ in _subresultant_prs(a, chain[1]):
         if not r:
             raise ValueError("polynomial is not squarefree")
-        div = g * h**delta
-        r = [c // div for c in r]
-        slb = 1 if lb > 0 else -1
-        sdiv = 1 if div > 0 else -1
-        sr = -(slb ** (delta + 1)) * sa * sdiv
-        a, sa, b, sb = b, sb, r, sr
-        g = a[0]
-        h = _h_update(g, h, delta)
-        chain.append([-c for c in r] if sr < 0 else list(r))
+        sr = -(_sign(b[0]) ** (delta + 1)) * sa * _sign(div)
+        sa, sb = sb, sr
+        chain.append(neg(r) if sr < 0 else r)
     return chain
 
 
@@ -323,7 +307,8 @@ def squarefree_part(p: list) -> list:
     if len(g) == 1:
         return primitive(a)
     quo, rem = divmod_exact(a, g)
-    assert not rem
+    if rem:
+        raise ArithmeticError("gcd does not divide the polynomial")
     den = lcm(*[c.denominator for c in quo])
     return primitive([int(c * den) for c in quo])
 
@@ -337,15 +322,8 @@ def poly_gcd(p: list, q: list) -> list:
         return primitive(a)
     if len(a) < len(b):
         a, b = b, a
-    g, h = 1, 1
-    while len(b) - 1 > 0:
-        delta = (len(a) - 1) - (len(b) - 1)
-        r = _prem(a, b)
+    for b, r, *_ in _subresultant_prs(a, b):
         if not r:
             out = primitive(b)
-            return [-c for c in out] if out[0] < 0 else out
-        div = g * h**delta
-        a, b = b, [c // div for c in r]
-        g = a[0]
-        h = _h_update(g, h, delta)
+            return neg(out) if out[0] < 0 else out
     return [1]

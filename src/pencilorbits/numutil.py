@@ -1,7 +1,8 @@
-"""Small number-theory and integer linear algebra helpers shared across modules."""
+"""Small number-theory and exact linear algebra helpers shared across modules."""
 
 import math
 import random
+from fractions import Fraction
 
 
 def primes_upto(n: int) -> list[int]:
@@ -82,13 +83,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
 def isqrt_exact(n: int) -> int | None:
     """Integer square root of n if n is a perfect square, else None."""
     if n < 0:
@@ -144,3 +138,63 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
             if q:
                 basis[k] = [x - q * y for x, y in zip(basis[k], basis[i])]
     return basis
+
+
+def _bareiss(A: list[list[int]], n: int) -> int:
+    """Bareiss fraction-free elimination, in place, of the integer rows A on
+    their first n columns (further columns ride along).  Returns the
+    determinant of the leading n x n block; on a zero determinant the
+    elimination stops early.  Entries below the pivots are left stale."""
+    sign, prev = 1, 1
+    for k in range(n):
+        if A[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if A[r][k]), None)
+            if piv is None:
+                return 0
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        pivot, top = A[k][k], A[k]
+        for i in range(k + 1, n):
+            row = A[i]
+            lead = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * prev
+
+
+def _integral_row(row) -> tuple[list[int], int]:
+    """(d * row, d) as a new list of ints, with d the least common
+    denominator of the int/Fraction entries."""
+    d = math.lcm(*[x.denominator for x in row])
+    if d == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (d // x.denominator) for x in row], d
+
+
+def det(M):
+    """Exact determinant of a square matrix of ints or Fractions; an int when
+    every entry is integral."""
+    rows, scale = [], 1
+    for r in M:
+        row, d = _integral_row(r)
+        rows.append(row)
+        scale *= d
+    D = _bareiss(rows, len(rows))
+    return D if scale == 1 else Fraction(D, scale)
+
+
+def solve(A, b) -> list[Fraction]:
+    """The exact solution x of A x = b for square nonsingular A (ints or
+    Fractions).  Back-substitution runs on D * x, which is integral by
+    Cramer's rule, D being the determinant of the cleared system."""
+    n = len(b)
+    M = [_integral_row(list(row) + [bi])[0] for row, bi in zip(A, b)]
+    D = _bareiss(M, n)
+    if D == 0:
+        raise ValueError("singular system")
+    y = [0] * n
+    for i in reversed(range(n)):
+        acc = D * M[i][n] - sum(M[i][j] * y[j] for j in range(i + 1, n))
+        y[i] = acc // M[i][i]
+    return [Fraction(v, D) for v in y]

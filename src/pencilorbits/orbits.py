@@ -9,6 +9,7 @@ from math import gcd
 
 from . import rings
 from .forms import BinaryForm, UnimodularMatrix2, discriminant, evaluate, sl2_act
+from .numutil import det
 from .rings import AlgebraElement, BasedIdeal
 
 
@@ -59,27 +60,6 @@ class CurvePoint:
         return self.z0**2 == evaluate(f, self.x0, self.y0)
 
 
-def _det_int(M: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant."""
-    n = len(M)
-    A = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if A[r][k] != 0), None)
-            if piv is None:
-                return 0
-            A[k], A[piv] = A[piv], A[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
-
-
 def invariant_form(v: SymmetricPair) -> BinaryForm:
     """f_v(x, y) = (-1)^(n/2) det(A x - B y), computed exactly by
     interpolation of det(A t - B) at t = 0..n."""
@@ -87,7 +67,7 @@ def invariant_form(v: SymmetricPair) -> BinaryForm:
     vals = []
     for t in range(n + 1):
         M = [[v.A[i][j] * t - v.B[i][j] for j in range(n)] for i in range(n)]
-        vals.append(_det_int(M))
+        vals.append(det(M))
     coeffs = _interpolate_integer(vals)  # coeffs[k] multiplies t^k
     sign = -1 if (n // 2) % 2 else 1
     # det(Ax - By) = sum_k coeffs[k] x^k y^(n-k); binary form index i = n - k
@@ -130,7 +110,7 @@ def _mul_linear(poly: list[Fraction], c: int) -> list[Fraction]:
 
 def gl_act(g: list[list[int]], v: SymmetricPair) -> SymmetricPair:
     """(g A g^t, g B g^t) for g with determinant +-1."""
-    d = _det_int([list(r) for r in g])
+    d = det(g)
     if d not in (1, -1):
         raise ValueError("matrix must be unimodular (det +-1)")
     A = _congruence(g, v.A)

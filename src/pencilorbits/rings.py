@@ -18,27 +18,13 @@ from math import gcd, lcm
 
 from . import gfpoly, intpoly
 from .forms import BinaryForm, discriminant
-from .numutil import hnf_rows, primes_upto
+from .numutil import det, hnf_rows, is_prime, solve
 
 
 class SquareClassVerdict(enum.Enum):
     EQUAL = "equal"
     DISTINCT = "distinct"
     INCONCLUSIVE = "inconclusive"
-
-
-_PRIME_CACHE: dict[int, list[int]] = {}
-
-
-def _odd_primes(bound: int) -> list[int]:
-    # grown lazily; square-class witnesses rarely need more than small primes
-    for b in (10_000, 100_000, 1_000_000):
-        if bound <= b:
-            bound = b
-            break
-    if bound not in _PRIME_CACHE:
-        _PRIME_CACHE[bound] = primes_upto(bound)[1:]
-    return _PRIME_CACHE[bound]
 
 
 @dataclass(frozen=True)
@@ -195,7 +181,7 @@ def algebra_inverse(u: AlgebraElement) -> AlgebraElement:
     s0, s1 = [], [Fraction(1)]
     while len(r1) - 1 > 0:
         q, r = intpoly.divmod_exact(r0, r1)
-        s_new = _poly_sub(s0, _poly_mul(q, s1))
+        s_new = intpoly.add(s0, intpoly.neg(intpoly.mul(q, s1)))
         r0, s0, r1, s1 = r1, s1, r, s_new
         if not r1:
             raise ZeroDivisionError("element is a zero divisor")
@@ -208,25 +194,6 @@ def algebra_inverse(u: AlgebraElement) -> AlgebraElement:
     for i, coeff in enumerate(reversed(rem)):
         coords[i] = Fraction(coeff)
     return AlgebraElement(f, tuple(coords))
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _poly_sub(p, q):
-    if len(p) < len(q):
-        p = [Fraction(0)] * (len(q) - len(p)) + list(p)
-    else:
-        q = [Fraction(0)] * (len(p) - len(q)) + list(q)
-    return intpoly.strip([a - b for a, b in zip(p, q)])
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +347,8 @@ def ring_multiply(R: RankNRing, u, v) -> tuple:
 
 
 def ring_discriminant(R: RankNRing) -> int:
-    """Determinant of the trace pairing Tr(b_i b_j) on (1, zeta_1, ...)."""
+    """Determinant of the trace pairing Tr(b_i b_j) on (1, zeta_1, ...);
+    the traces are integers because R_f is an order."""
     f = R.form
     n = f.degree
     s = _power_sums(f.coeffs, 2 * n - 2)
@@ -396,9 +364,7 @@ def ring_discriminant(R: RankNRing) -> int:
                         if Z[j][b]:
                             acc += Z[i][a] * Z[j][b] * s[i + j]
             T[a][b] = T[b][a] = acc
-    det = _det_fraction(T)
-    assert det.denominator == 1
-    return int(det)
+    return det(T)
 
 
 def _power_sums(coeffs: tuple[int, ...], upto: int) -> list[Fraction]:
@@ -414,27 +380,6 @@ def _power_sums(coeffs: tuple[int, ...], upto: int) -> list[Fraction]:
             acc += Fraction(k * coeffs[k])
         s.append(-acc / f0)
     return s
-
-
-def _det_fraction(M) -> Fraction:
-    n = len(M)
-    A = [row[:] for row in M]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            det = -det
-        det *= A[col][col]
-        inv = 1 / A[col][col]
-        for r in range(col + 1, n):
-            if A[r][col]:
-                fac = A[r][col] * inv
-                for cc in range(col, n):
-                    A[r][cc] -= fac * A[col][cc]
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +472,10 @@ def _ideal_product_power(f: BinaryForm, k: int) -> BasedIdeal:
 
 def ideal_norm(I: BasedIdeal) -> Fraction:
     """|det| of the transition matrix from the ideal basis to the R_f basis."""
-    rows = [to_zeta_coords(b) for b in I.basis]
-    det = _det_fraction([list(r) for r in rows])
-    if det == 0:
+    d = det([to_zeta_coords(b) for b in I.basis])
+    if d == 0:
         raise ValueError("basis is linearly dependent")
-    return abs(det)
+    return abs(Fraction(d))
 
 
 def _span_canonical(f: BinaryForm, elements) -> tuple:
@@ -571,29 +515,8 @@ def spans_equal(f: BinaryForm, elems_a, elems_b) -> bool:
 
 def expansion_in_basis(I: BasedIdeal, u: AlgebraElement) -> tuple[Fraction, ...]:
     """Coordinates of u on the ordered basis of I (exact solve)."""
-    f = I.form
-    n = f.degree
     cols = [to_zeta_coords(b) for b in I.basis]
-    target = list(to_zeta_coords(u))
-    A = [[cols[c][r] for c in range(n)] for r in range(n)]
-    return tuple(_solve_fraction(A, target))
-
-
-def _solve_fraction(A, b):
-    n = len(b)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                fac = M[r][col]
-                M[r] = [x - fac * y for x, y in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
+    return tuple(solve(list(zip(*cols)), to_zeta_coords(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -615,14 +538,13 @@ def same_square_class(
     beta: AlgebraElement,
     trials: int = 50,
     seed: int = 0,
-    prime_bound: int = 1_000_000,
 ) -> SquareClassVerdict:
     """One-sided probabilistic square-class test of alpha and beta in K_f^x.
 
     DISTINCT is certain: witnessed by a real-embedding sign mismatch or a
     non-square image in a residue field of good reduction.  EQUAL after
-    `trials` consistent prime witnesses is heuristic.  Deterministic for a
-    fixed seed.
+    `trials` consistent witnesses at the smallest odd primes of good
+    reduction is heuristic.  Deterministic for a fixed seed.
     """
     f = alpha.form
     if beta.form != f:
@@ -646,11 +568,10 @@ def same_square_class(
             return SquareClassVerdict.DISTINCT
 
     bad = abs(f.coeffs[0] * disc * D * res)
-    used = 0
-    for p in _odd_primes(prime_bound):
-        if used >= trials:
-            break
-        if bad % p == 0:
+    p, used = 1, 0
+    while used < trials:
+        p += 2
+        if bad % p == 0 or not is_prime(p):
             continue
         used += 1
         reduced = gfpoly.normalize(funiv, p)
@@ -659,15 +580,12 @@ def same_square_class(
         dinv = pow(D % p, -1, p)
         gmod = [c * dinv % p for c in gmod]
         for h, mult in factors:
-            assert mult == 1
+            if mult != 1:
+                raise ArithmeticError(f"f has a repeated factor mod the good prime {p}")
             d = len(h) - 1
             w = gfpoly.gf_mod(gmod, h, p)
             e = (p**d - 1) // 2
             t = gfpoly.gf_powmod(w, e, h, p)
             if t != [1]:
                 return SquareClassVerdict.DISTINCT
-    if used == 0:
-        if trials > 0:
-            raise RuntimeError("no prime of good reduction below the internal bound")
-        return SquareClassVerdict.INCONCLUSIVE
-    return SquareClassVerdict.EQUAL
+    return SquareClassVerdict.EQUAL if used else SquareClassVerdict.INCONCLUSIVE

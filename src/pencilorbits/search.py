@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass
 
 from . import gfpoly
-from .forms import BinaryForm, discriminant, evaluate, real_root_count
-from .numutil import factorize, isqrt_exact
+from .forms import BinaryForm, discriminant, evaluate, random_nondegenerate_form, real_root_count
+from .numutil import factorize, isqrt_exact, primes_upto
 from .orbits import CurvePoint
 
 
@@ -92,16 +92,10 @@ def locally_soluble_p(f: BinaryForm, p: int, depth_budget: int | None = None) ->
             vdisc += 1
         depth_budget = vdisc + (2 if p == 2 else 0) + f.degree + 4
     affine = [int(c) for c in f.coeffs]  # f(t, 1)
-    infinity = _subst_scaled(list(reversed(f.coeffs)), p)  # f(1, p t)
+    infinity = _subst_shift_scale(list(reversed(f.coeffs)), 0, p)  # f(1, p t)
     if p == 2:
         return _decide_2(affine, 0, depth_budget) or _decide_2(infinity, 0, depth_budget)
     return _decide_odd(affine, p, 0, depth_budget) or _decide_odd(infinity, p, 0, depth_budget)
-
-
-def _subst_scaled(coeffs: list[int], p: int) -> list[int]:
-    """g(p * t) for g given by descending coefficients."""
-    n = len(coeffs) - 1
-    return [c * p ** (n - i) for i, c in enumerate(coeffs)]
 
 
 def _subst_shift_scale(coeffs: list[int], t0: int, p: int) -> list[int]:
@@ -156,24 +150,18 @@ def _takes_unit_square_value(hbar: list[int], p: int) -> bool:
     if p <= _SQUARE_SCAN_BOUND:
         squares = {(x * x) % p for x in range(1, (p + 1) // 2 + 1)}
         for t in range(p):
-            if _eval_mod(hbar, t, p) in squares:
+            if gfpoly.gf_eval(hbar, t, p) in squares:
                 return True
         return False
     # large p: split off the square part; h = c * (odd-multiplicity part) * G^2
-    c, parts = _unit_and_squarefree(hbar, p)
+    parts = gfpoly.squarefree_decomposition(hbar, p)
     odd_deg = sum(len(s) - 1 for s, j in parts if j % 2 == 1)
     if odd_deg >= 1:
         # z^2 = c * (odd-multiplicity part) is a curve with more than 2*deg
         # points once p > (deg + 2)^2 (Weil), so a nonzero square value exists
         assert p > (len(hbar) + 1) ** 2
         return True
-    return _is_qr(c, p)
-
-
-def _unit_and_squarefree(hbar: list[int], p: int):
-    unit = hbar[0]
-    parts = gfpoly.squarefree_decomposition(hbar, p)
-    return unit, parts
+    return _is_qr(hbar[0], p)
 
 
 def _fp_roots(hbar: list[int], p: int) -> list[int]:
@@ -181,7 +169,7 @@ def _fp_roots(hbar: list[int], p: int) -> list[int]:
     if len(hbar) - 1 == 0:
         return []
     if p <= 64:
-        return [t for t in range(p) if _eval_mod(hbar, t, p) == 0]
+        return [t for t in range(p) if gfpoly.gf_eval(hbar, t, p) == 0]
     x = [1, 0]
     xp = gfpoly.gf_powmod(x, p, hbar, p)
     lin = gfpoly.gf_gcd(gfpoly.add_mod(xp, [p - 1, 0], p), hbar, p)
@@ -190,13 +178,6 @@ def _fp_roots(hbar: list[int], p: int) -> list[int]:
     rng = random.Random(0x5EED)
     factors = gfpoly.equal_degree_split(lin, 1, p, rng)
     return sorted((-fac[1]) % p for fac in factors)
-
-
-def _eval_mod(coeffs: list[int], t: int, p: int) -> int:
-    acc = 0
-    for c in coeffs:
-        acc = (acc * t + c) % p
-    return acc
 
 
 def _is_qr(a: int, p: int) -> bool:
@@ -244,21 +225,11 @@ def locally_soluble_everywhere(f: BinaryForm) -> tuple[bool, dict[str, bool]]:
         raise ValueError("Disc(f) = 0")
     g = f.genus
     verdicts: dict[str, bool] = {"real": locally_soluble_R(f)}
-    ps = {2}
-    ps.update(q for q in range(3, 4 * g * g + 5) if _is_prime_small(q))
-    ps.update(q for q in factorize(disc) if q > 2)
+    ps = set(primes_upto(4 * g * g + 4))  # contains 2
+    ps.update(factorize(disc))
     for p in sorted(ps):
         verdicts[str(p)] = locally_soluble_p(f, p)
     return all(verdicts.values()), verdicts
-
-
-def _is_prime_small(q: int) -> bool:
-    if q < 2:
-        return False
-    for d in range(2, math.isqrt(q) + 1):
-        if q % d == 0:
-            return False
-    return True
 
 
 @dataclass
@@ -317,7 +288,7 @@ def survey(n: int, X: int, B: int, count: int, seed: int, jobs: int = 1):
     solubility and small points.  Sampling happens up front, so records are
     deterministic per seed and independent of the worker count."""
     rng = random.Random(seed)
-    forms = [_random_squarefree(n, X, rng).coeffs for _ in range(count)]
+    forms = [random_nondegenerate_form(n, X, rng).coeffs for _ in range(count)]
     tasks = [(coeffs, B) for coeffs in forms]
     if jobs > 1 and count > 1:
         import multiprocessing
@@ -332,55 +303,3 @@ def survey(n: int, X: int, B: int, count: int, seed: int, jobs: int = 1):
         with_point=sum(r.point is not None for r in records),
     )
     return records, agg
-
-
-def _random_squarefree(n: int, X: int, rng: random.Random) -> BinaryForm:
-    while True:
-        f = BinaryForm(tuple(rng.randint(-X, X) for _ in range(n + 1)))
-        if any(f.coeffs) and discriminant(f) != 0:
-            return f
-
-
-def soluble_by_exhaustion(f: BinaryForm, p: int, start_level: int = 3, max_level: int = 24) -> bool:
-    """Independent oracle for locally_soluble_p: flat enumeration of the
-    residue classes of P^1(Z/p^k) starting at k = start_level.
-
-    A class {x = x0 + p^k s, y = 1} (or {x = 1, y = y0 + p^k s} on the
-    infinity side) has all values congruent to v = f(x0, y0) mod p^k, so it
-    is decided once v_p(v) <= k - 1 (k - 3 at p = 2): soluble iff the
-    valuation is even and the unit part is a square.  Undecided classes are
-    re-enumerated one level deeper."""
-    need = 3 if p == 2 else 1
-    k = start_level
-    pending = [(a, 1, True) for a in range(p**k)]
-    pending += [(1, b * p, False) for b in range(p ** (k - 1))]
-    while pending:
-        if k > max_level:
-            raise DescentBudgetError("exhaustive oracle exceeded its depth cap")
-        nxt = []
-        for x0, y0, affine in pending:
-            v = evaluate(f, x0, y0)
-            if v == 0:
-                return True
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            if e + need <= k:
-                if e % 2 == 0 and _unit_is_square(v, p, need):
-                    return True
-                continue
-            for s in range(p):
-                if affine:
-                    nxt.append((x0 + s * p**k, 1, True))
-                else:
-                    nxt.append((1, y0 + s * p**k, False))
-        pending = nxt
-        k += 1
-    return False
-
-
-def _unit_is_square(u: int, p: int, need: int) -> bool:
-    if p == 2:
-        return u % 8 == 1
-    return pow(u % p, (p - 1) // 2, p) == 1

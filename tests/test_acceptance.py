@@ -30,8 +30,8 @@ from pencilorbits.orbits import (
     transported_construction_class,
     x_minus_T,
 )
-from pencilorbits.search import locally_soluble_p, soluble_by_exhaustion, survey
-from conftest import random_form_with_point, random_nondegenerate, random_sl2
+from pencilorbits.search import locally_soluble_p, survey
+from conftest import random_form_with_point, random_nondegenerate, random_sl2, soluble_by_exhaustion
 
 
 def _report(criterion: int, ok: bool, detail: str):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from pencilorbits import intpoly
 
 
@@ -75,6 +77,22 @@ def test_resultant_matches_sylvester():
         got = intpoly.resultant(p, q)
         want = sylvester_resultant(p, q)
         assert want.denominator == 1 and got == int(want), (p, q)
+    common = [2, -3, 1]  # (2x - 1)(x - 1)
+    cases = [
+        ([1, 2], [3, 0, -1, 5]),  # deg p < deg q, both odd degrees
+        ([1, 0, 2], [1, -1, 0, 4, 2]),  # deg p < deg q, even degrees
+        ([7], [1, 2, 3]),  # constant argument
+        ([2, 1, 1], [-5]),
+        ([-4], [3]),
+        (intpoly.mul(common, [1, 4]), intpoly.mul(common, [3, 0, 1])),  # common factor
+        ([-2, 3, 1], [-1, 0, 4, 7]),  # negative leading coefficients
+        ([-3, 1, 0, 2], [-4, 5]),
+        ([-1, 0, 0, 0, 0, 6], [-2, 0, 0, 1]),
+    ]
+    for p, q in cases:
+        want = sylvester_resultant(p, q)
+        assert want.denominator == 1 and intpoly.resultant(p, q) == int(want), (p, q)
+    assert intpoly.resultant(*cases[5]) == 0
 
 
 def test_real_root_count_matches_reference():
@@ -128,6 +146,20 @@ def test_poly_gcd():
     g = intpoly.poly_gcd(a, b)
     assert g == [1, -1]
     assert intpoly.poly_gcd([1, 0, 1], [1, 1]) == [1]
+    # non-monic common factor, in either sign
+    c = [3, 2]
+    assert intpoly.poly_gcd(intpoly.mul(c, [1, 0, 1]), intpoly.mul(c, [2, -5])) == c
+    assert intpoly.poly_gcd(intpoly.mul(c, [-1, 0, 1]), intpoly.mul(c, [-2, -5])) == c
+    # x^5 + 1 and x^4 + 1: the first remainder drops from degree 4 to 1
+    assert intpoly.poly_gcd([1, 0, 0, 0, 0, 1], [1, 0, 0, 0, 1]) == [1]
+    c = [2, 0, 1]
+    assert intpoly.poly_gcd(intpoly.mul(c, [1, 0, 0, 0, 0, 1]), intpoly.mul(c, [1, 0, 0, 0, 1])) == c
+
+
+def test_h_update_rejects_inexact_division():
+    assert intpoly._h_update(6, 2, 2) == 18
+    with pytest.raises(ArithmeticError):
+        intpoly._h_update(3, 2, 2)
 
 
 def test_sturm_chain_with_degree_drops():

@@ -1,0 +1,87 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from pencilorbits import gfpoly, intpoly, numutil
+
+
+def fraction_det(M):
+    """Oracle: Gaussian elimination over Q."""
+    A = [[Fraction(x) for x in row] for row in M]
+    n = len(A)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            A[col], A[piv] = A[piv], A[col]
+            det = -det
+        det *= A[col][col]
+        for r in range(col + 1, n):
+            fac = A[r][col] / A[col][col]
+            for c in range(col, n):
+                A[r][c] -= fac * A[col][c]
+    return det
+
+
+def random_matrix(rng, n, rational=False, sparse=False):
+    def entry():
+        if sparse and rng.random() < 0.6:
+            return 0
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rational else rng.randint(-9, 9)
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def test_det_matches_fraction_elimination():
+    rng = random.Random(11)
+    for trial in range(400):
+        n = rng.randint(1, 7)
+        M = random_matrix(rng, n, sparse=trial % 2 == 1)
+        got = numutil.det(M)
+        assert type(got) is int and got == fraction_det(M), M
+        R = random_matrix(rng, n, rational=True, sparse=trial % 2 == 1)
+        assert numutil.det(R) == fraction_det(R), R
+    assert numutil.det([[0, 1], [1, 0]]) == -1  # zero pivot, row swap
+    assert numutil.det([[Fraction(1, 2), 1], [1, 1]]) == Fraction(-1, 2)
+    assert numutil.det([]) == 1
+
+
+def test_det_singular():
+    rng = random.Random(12)
+    for trial in range(150):
+        n = rng.randint(2, 7)
+        M = random_matrix(rng, n, rational=trial % 2 == 1)
+        i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        a, b = Fraction(rng.randint(-5, 5), 3), rng.randint(-5, 5)
+        if trial % 2 == 0:
+            a = int(3 * a)
+        M[k] = [a * x + b * y for x, y in zip(M[i], M[j])] if k not in (i, j) else [0] * n
+        assert numutil.det(M) == 0, M
+
+
+def test_solve_satisfies_system():
+    rng = random.Random(13)
+    for trial in range(300):
+        n = rng.randint(1, 7)
+        A = random_matrix(rng, n, rational=trial % 2 == 1, sparse=trial % 3 == 0)
+        b = [Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(n)]
+        if fraction_det(A) == 0:
+            with pytest.raises(ValueError):
+                numutil.solve(A, b)
+            continue
+        x = numutil.solve(A, b)
+        assert all(sum(a * xi for a, xi in zip(row, x)) == bi for row, bi in zip(A, b)), (A, b)
+    with pytest.raises(ValueError):
+        numutil.solve([[1, 2], [2, 4]], [1, 1])
+
+
+def test_gf_eval_matches_integer_evaluation():
+    rng = random.Random(14)
+    for _ in range(500):
+        p = rng.choice([2, 3, 5, 7, 101, 1009, 65537])
+        coeffs = [rng.randint(-(10**8), 10**8) for _ in range(rng.randint(0, 9))]
+        t = rng.randint(-300, 300)
+        assert gfpoly.gf_eval(coeffs, t, p) == intpoly.evaluate(coeffs, t) % p

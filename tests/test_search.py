@@ -6,10 +6,9 @@ from pencilorbits.search import (
     locally_soluble_everywhere,
     locally_soluble_p,
     rational_point_search,
-    soluble_by_exhaustion,
     survey,
 )
-from conftest import random_nondegenerate
+from conftest import random_nondegenerate, soluble_by_exhaustion
 
 
 def test_point_search_examples():
