@@ -6,11 +6,10 @@ estimate over real root counts (exact classification of dyadic samples), the
 factor at 2 works with factorization types mod 8 (determined by the mod-2
 reduction), and each odd prime contributes a capped weighted sum over the
 distribution of the number of distinct irreducible factors mod p.  The two
-finite-place distributions are exact: small cases by enumeration, all cases
-by a combinatorial count of binary forms by factorization type.
+finite-place distributions are exact: both come from a combinatorial count of
+binary forms by factorization type.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,13 +18,11 @@ from functools import lru_cache
 import numpy as np
 from mpmath import mp, mpf, zeta
 
-from . import gfpoly
 from .finite_fields import sl_n_order
 from .numutil import primes_upto
 from .realroots import count_real_roots_batch
 
 DYADIC_BITS = 12
-ENUMERATION_BUDGET = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -191,34 +188,11 @@ def factor_count_distribution(n: int, p: int) -> tuple[int, ...]:
     return tuple((p - 1) * dp[n][m] for m in range(n + 1))
 
 
-def _distinct_count_table(n: int, p: int) -> list[int]:
-    """m for every coefficient vector (enumeration oracle); index is the
-    base-p encoding of (f0..fn), zero form keeps -1."""
-    out = [-1] * p ** (n + 1)
-    for idx, vec in enumerate(itertools.product(range(p), repeat=n + 1)):
-        if not any(vec):
-            continue
-        reduced = gfpoly.normalize(list(vec), p)
-        m = 1 if len(reduced) - 1 < n else 0
-        if len(reduced) > 1:
-            m += gfpoly.distinct_factor_count(reduced, p)
-        out[idx] = m
-    return out
-
-
-def mu_p_distribution(n: int, p: int, force_enumeration: bool = False) -> tuple[Fraction, ...]:
+def mu_p_distribution(n: int, p: int) -> tuple[Fraction, ...]:
     """(mu(I_p(m)))_m = |I_p(m)|/p^(n+1); the zero form belongs to no I_p(m),
-    so the values sum to 1 - p^-(n+1).  Exact either way: enumeration inside
-    the budget, the combinatorial count outside it."""
+    so the values sum to 1 - p^-(n+1).  Exact, from the combinatorial count."""
     total = p ** (n + 1)
-    if force_enumeration or total <= ENUMERATION_BUDGET:
-        counts = [0] * (n + 1)
-        for m in _distinct_count_table(n, p):
-            if m >= 0:
-                counts[m] += 1
-        counts = tuple(counts)
-    else:
-        counts = factor_count_distribution(n, p)
+    counts = factor_count_distribution(n, p)
     return tuple(Fraction(c, total) for c in counts)
 
 
@@ -230,18 +204,8 @@ def mu_8_distribution(n: int) -> tuple[Fraction, ...]:
     """(mu(I_8(m)))_m: binary forms mod 8 whose mod-2 reduction has m distinct
     irreducible factors; forms vanishing mod 2 carry no type.  The type
     depends only on f mod 2 and lifts are uniform, so |I_8(m)| =
-    |I_2(m)| * 4^(n+1); for n <= 4 this is verified by direct enumeration."""
-    if n <= 4:
-        counts = [0] * (n + 1)
-        table = _distinct_count_table(n, 2)
-        for vec in itertools.product(range(8), repeat=n + 1):
-            idx = 0
-            for c in vec:
-                idx = idx * 2 + (c & 1)
-            m = table[idx]
-            if m >= 0:
-                counts[m] += 1
-        return tuple(Fraction(c, 8 ** (n + 1)) for c in counts)
+    |I_2(m)| * 4^(n+1), a combinatorial multiset count (the tests check it
+    against enumeration of all residues mod 8 for n = 2 and 4)."""
     counts = factor_count_distribution(n, 2)
     return tuple(Fraction(c, 2 ** (n + 1)) for c in counts)
 

@@ -155,9 +155,6 @@ def _count_n2(f: BinaryForm, p: int) -> OrbitStats:
 
 # -- n = 4, p = 2: five-point determinant keys over F_4 ----------------------
 
-_QUARTIC_TABLE: np.ndarray | None = None
-
-
 def _det4_f2(M: np.ndarray) -> np.ndarray:
     d = np.zeros(M.shape[:-2], np.uint8)
     for perm in itertools.permutations(range(4)):
@@ -183,12 +180,10 @@ def _det4_f4(Ml: np.ndarray, Mh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dl, dh
 
 
+@lru_cache(maxsize=1)
 def _quartic_pair_table() -> np.ndarray:
     """counts[key] over all 2^20 pairs; key packs det(Ax-By) evaluated at
     (1:0), (0:1), (1:1) over F_2 and (w:1), (w^2:1) over F_4."""
-    global _QUARTIC_TABLE
-    if _QUARTIC_TABLE is not None:
-        return _QUARTIC_TABLE
     idx = np.arange(1 << 10, dtype=np.uint32)
     bits = ((idx[:, None] >> np.arange(10)) & 1).astype(np.uint8)
     M = np.zeros((1 << 10, 4, 4), np.uint8)
@@ -218,7 +213,6 @@ def _quartic_pair_table() -> np.ndarray:
             | dl2.astype(np.int64)
         )
         counts += np.bincount(key, minlength=1 << 7)
-    _QUARTIC_TABLE = counts
     return counts
 
 

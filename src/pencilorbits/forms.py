@@ -84,9 +84,6 @@ class UnimodularMatrix2:
         )
 
 
-IDENTITY2 = UnimodularMatrix2(1, 0, 0, 1)
-
-
 @dataclass(frozen=True)
 class FactorizationType:
     """Multiset of (degree, multiplicity) pairs of the distinct irreducible
@@ -131,7 +128,8 @@ def discriminant(f: BinaryForm) -> int:
     res = intpoly.resultant(p, intpoly.derivative(p))
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     disc, rem = divmod(sign * res, f.coeffs[0])
-    assert rem == 0
+    if rem:
+        raise ArithmeticError("resultant is not divisible by the leading coefficient")
     return disc
 
 

@@ -136,7 +136,8 @@ def _merge(pairs):
 def _pth_root(f, mod):
     # f(x) = g(x^p) over F_p; g coefficients are the p-th roots = themselves
     n = len(f) - 1
-    assert n % mod == 0
+    if n % mod:
+        raise ArithmeticError("not a polynomial in x^p")
     g = []
     for i in range(0, n + 1, mod):
         g.append(f[i])

@@ -253,11 +253,11 @@ def root_bound(p: list) -> int:
     return 1 + (rest + lead - 1) // lead
 
 
-def isolate_real_roots(p: list) -> list[tuple[Fraction, Fraction]]:
+def isolate_real_roots(chain: list[list]) -> list[tuple[Fraction, Fraction]]:
     """Disjoint intervals (lo, hi], each containing exactly one real root of
-    the squarefree integer polynomial p, sorted increasingly."""
-    chain = sturm_chain(p)
-    B = root_bound(p)
+    the squarefree integer polynomial chain[0], sorted increasingly; chain is
+    its Sturm chain."""
+    B = root_bound(chain[0])
     lo0, hi0 = Fraction(-B), Fraction(B)
     total = count_roots_between(chain, lo0, hi0)
     out: list[tuple[Fraction, Fraction]] = []
@@ -277,10 +277,11 @@ def isolate_real_roots(p: list) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def sign_at_root(p: list, chain: list[list], interval: tuple, q: list) -> int:
-    """Sign of q at the unique root of p in the interval.
+def sign_at_root(chain: list[list], interval: tuple, q: list) -> int:
+    """Sign of q at the unique root of chain[0] in the interval, chain being
+    its Sturm chain.
 
-    Requires that q does not vanish at that root (e.g. gcd(p, q) = 1)."""
+    Requires that q does not vanish at that root (e.g. gcd(chain[0], q) = 1)."""
     lo, hi = interval
     qsf = squarefree_part(q)
     qchain = sturm_chain(qsf)

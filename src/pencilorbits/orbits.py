@@ -9,7 +9,7 @@ from math import gcd
 
 from . import rings
 from .forms import BinaryForm, UnimodularMatrix2, discriminant, evaluate, sl2_act
-from .numutil import det
+from .numutil import det, solve
 from .rings import AlgebraElement, BasedIdeal
 
 
@@ -68,44 +68,14 @@ def invariant_form(v: SymmetricPair) -> BinaryForm:
     for t in range(n + 1):
         M = [[v.A[i][j] * t - v.B[i][j] for j in range(n)] for i in range(n)]
         vals.append(det(M))
-    coeffs = _interpolate_integer(vals)  # coeffs[k] multiplies t^k
+    vandermonde = [[t**k for k in range(n + 1)] for t in range(n + 1)]
+    coeffs = solve(vandermonde, vals)  # coeffs[k] multiplies t^k
+    if any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError("interpolated det(A t - B) has non-integral coefficients")
     sign = -1 if (n // 2) % 2 else 1
     # det(Ax - By) = sum_k coeffs[k] x^k y^(n-k); binary form index i = n - k
-    out = [sign * coeffs[n - i] for i in range(n + 1)]
+    out = [sign * coeffs[n - i].numerator for i in range(n + 1)]
     return BinaryForm(tuple(out))
-
-
-def _interpolate_integer(vals: list[int]) -> list[int]:
-    """Coefficients (ascending) of the degree <= n polynomial with
-    p(t) = vals[t] for t = 0..n; exact, result must be integral."""
-    n = len(vals) - 1
-    coeffs = [Fraction(0)] * (n + 1)
-    for t, val in enumerate(vals):
-        if val == 0:
-            continue
-        num = [Fraction(val)]
-        den = 1
-        for s in range(n + 1):
-            if s == t:
-                continue
-            num = _mul_linear(num, -s)  # multiply by (x - s)
-            den *= t - s
-        for k in range(len(num)):
-            coeffs[k] += num[k] / den
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1
-        out.append(int(c))
-    return out
-
-
-def _mul_linear(poly: list[Fraction], c: int) -> list[Fraction]:
-    """poly (ascending) times (x + c)."""
-    out = [Fraction(0)] * (len(poly) + 1)
-    for i, a in enumerate(poly):
-        out[i] += a * c
-        out[i + 1] += a
-    return out
 
 
 def gl_act(g: list[list[int]], v: SymmetricPair) -> SymmetricPair:
@@ -175,7 +145,8 @@ def pair_from_point(f: BinaryForm, P: CurvePoint) -> SymmetricPair:
     fprime = sl2_act(gamma, f)
     v = template_pair(fprime, P.z0)
     result = sl2_act_on_pair(gamma.inverse(), v)
-    assert invariant_form(result) == f
+    if invariant_form(result) != f:
+        raise ArithmeticError("constructed pair does not have invariant form f")
     return result
 
 
@@ -192,7 +163,8 @@ def _bezout(x0: int, y0: int) -> tuple[int, int]:
     if old_r == -1:
         old_s, old_t = -old_s, -old_t
         old_r = 1
-    assert old_r == 1
+    if old_r != 1:
+        raise ValueError("x0, y0 must be coprime")
     return old_s, old_t
 
 

@@ -40,7 +40,8 @@ def _exact_count(row: list) -> int:
     cnt = intpoly.real_root_count_squarefree(row)
     if cnt is None:
         cnt = intpoly.real_root_count_squarefree(intpoly.squarefree_part(row))
-        assert cnt is not None
+        if cnt is None:
+            raise ArithmeticError("squarefree part has a repeated factor")
     return cnt
 
 

@@ -67,18 +67,11 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def as_poly(self) -> list[Fraction]:
-        """Descending coefficient list of the representing polynomial in theta."""
-        return intpoly.strip(list(reversed(self.coords)))
-
     def numerator_poly(self) -> tuple[list[int], int]:
         """(integer polynomial G descending, positive D) with self = G(theta)/D."""
         den = lcm(*[c.denominator for c in self.coords]) if self.coords else 1
         poly = [int(c * den) for c in reversed(self.coords)]
         return intpoly.strip(poly), den
-
-    def norm(self) -> Fraction:
-        return algebra_norm(self)
 
     def inverse(self) -> "AlgebraElement":
         return algebra_inverse(self)
@@ -267,25 +260,6 @@ class RankNRing:
             i, j = j, i
         return self.table[i - 1][j - i]
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {
-                "form": [str(c) for c in self.form.coeffs],
-                "structure_constants": [[list(v) for v in row] for row in self.table],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, s: str) -> "RankNRing":
-        import json
-
-        d = json.loads(s)
-        form = BinaryForm(tuple(int(c) for c in d["form"]))
-        table = tuple(tuple(tuple(v) for v in row) for row in d["structure_constants"])
-        return cls(form, table)
-
 
 def ring_from_form(f: BinaryForm, verify: bool = True) -> RankNRing:
     """Structure constants from the closed multiplication law, with the
@@ -402,29 +376,6 @@ class BasedIdeal:
             kappa = _coerce(self.form, kappa)
         return BasedIdeal(self.form, tuple(algebra_mul(kappa, b) for b in self.basis))
 
-    def to_json(self) -> str:
-        """n x n matrix of string-encoded fractions: row i = power-basis
-        coordinates of the i-th basis element."""
-        import json
-
-        return json.dumps(
-            {
-                "form": [str(c) for c in self.form.coeffs],
-                "basis": [[str(c) for c in b.coords] for b in self.basis],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, s: str) -> "BasedIdeal":
-        import json
-
-        d = json.loads(s)
-        form = BinaryForm(tuple(int(c) for c in d["form"]))
-        basis = tuple(
-            AlgebraElement(form, tuple(Fraction(c) for c in row)) for row in d["basis"]
-        )
-        return cls(form, basis)
-
 
 def ideal_power_basis(f: BinaryForm, k: int) -> BasedIdeal:
     """I_f(k) = <1, theta, ..., theta^k, zeta_(k+1), ..., zeta_(n-1)> for
@@ -453,23 +404,6 @@ def ideal_inverse_power(f: BinaryForm) -> BasedIdeal:
     return BasedIdeal(f, tuple(basis))
 
 
-def ideal_power(f: BinaryForm, k: int) -> BasedIdeal:
-    """I_f^k for k >= -1 (the only powers the constructions need)."""
-    if k >= 0:
-        return ideal_power_basis(f, k) if k <= f.degree - 1 else _ideal_product_power(f, k)
-    if k == -1:
-        return ideal_inverse_power(f)
-    raise ValueError("only powers >= -1 are supported")
-
-
-def _ideal_product_power(f: BinaryForm, k: int) -> BasedIdeal:
-    base = ideal_power_basis(f, f.degree - 1)
-    acc = base
-    for _ in range(k - (f.degree - 1)):
-        acc = ideal_mul(acc, ideal_power_basis(f, 1))
-    return acc
-
-
 def ideal_norm(I: BasedIdeal) -> Fraction:
     """|det| of the transition matrix from the ideal basis to the R_f basis."""
     d = det([to_zeta_coords(b) for b in I.basis])
@@ -494,19 +428,6 @@ def _span_canonical(f: BinaryForm, elements) -> tuple:
             g = gcd(g, c)
     g = g or 1
     return (den // g, tuple(tuple(c // g for c in row) for row in H))
-
-
-def ideal_mul(I: BasedIdeal, J: BasedIdeal) -> BasedIdeal:
-    """Product module spanned by pairwise products, with an HNF basis."""
-    if I.form != J.form:
-        raise ValueError("ideals over different rings")
-    f = I.form
-    prods = [algebra_mul(a, b) for a in I.basis for b in J.basis]
-    den, H = _span_canonical(f, prods)
-    if len(H) != f.degree:
-        raise ValueError("product span has deficient rank")
-    basis = tuple(from_zeta_coords(f, [Fraction(c, den) for c in row]) for row in H)
-    return BasedIdeal(f, basis)
 
 
 def spans_equal(f: BinaryForm, elems_a, elems_b) -> bool:
@@ -563,8 +484,8 @@ def same_square_class(
 
     # real witnesses: gamma must be positive at every real root of f(x,1)
     chain = intpoly.sturm_chain(intpoly.strip(funiv))
-    for interval in intpoly.isolate_real_roots(intpoly.strip(funiv)):
-        if intpoly.sign_at_root(funiv, chain, interval, G) < 0:
+    for interval in intpoly.isolate_real_roots(chain):
+        if intpoly.sign_at_root(chain, interval, G) < 0:
             return SquareClassVerdict.DISTINCT
 
     bad = abs(f.coeffs[0] * disc * D * res)

@@ -1,9 +1,48 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from pencilorbits import densities as D
+from pencilorbits import gfpoly
+
+
+def distinct_count_table(n, p):
+    """Enumeration oracle: m for every coefficient vector; index is the
+    base-p encoding of (f0..fn), the zero form keeps -1."""
+    out = [-1] * p ** (n + 1)
+    for idx, vec in enumerate(itertools.product(range(p), repeat=n + 1)):
+        if not any(vec):
+            continue
+        reduced = gfpoly.normalize(list(vec), p)
+        m = 1 if len(reduced) - 1 < n else 0
+        if len(reduced) > 1:
+            m += gfpoly.distinct_factor_count(reduced, p)
+        out[idx] = m
+    return out
+
+
+def mu_p_by_enumeration(n, p):
+    counts = [0] * (n + 1)
+    for m in distinct_count_table(n, p):
+        if m >= 0:
+            counts[m] += 1
+    return tuple(Fraction(c, p ** (n + 1)) for c in counts)
+
+
+def mu_8_by_enumeration(n):
+    """Every residue vector mod 8, typed by its reduction mod 2."""
+    counts = [0] * (n + 1)
+    table = distinct_count_table(n, 2)
+    for vec in itertools.product(range(8), repeat=n + 1):
+        idx = 0
+        for c in vec:
+            idx = idx * 2 + (c & 1)
+        m = table[idx]
+        if m >= 0:
+            counts[m] += 1
+    return tuple(Fraction(c, 8 ** (n + 1)) for c in counts)
 
 
 def test_mu_p_examples_and_sums():
@@ -17,10 +56,11 @@ def test_mu_p_examples_and_sums():
 
 def test_mu_p_enumeration_matches_combinatorial_count():
     for n, p in [(2, 2), (2, 3), (2, 5), (2, 7), (4, 2), (4, 3), (4, 5), (6, 2), (6, 3)]:
-        enum = D.mu_p_distribution(n, p, force_enumeration=True)
+        enum = mu_p_by_enumeration(n, p)
         counts = D.factor_count_distribution(n, p)
         dp = tuple(Fraction(c, p ** (n + 1)) for c in counts)
         assert enum == dp, (n, p)
+        assert D.mu_p_distribution(n, p) == dp, (n, p)
 
 
 def test_irreducible_form_count_calibration():
@@ -37,6 +77,7 @@ def test_mu_8_examples():
         mu8 = D.mu_8_distribution(n)
         mu2 = D.mu_p_distribution(n, 2)
         assert mu8 == mu2
+        assert mu8 == mu_8_by_enumeration(n)
         assert sum(mu8) == 1 - Fraction(1, 2 ** (n + 1))
     assert D.mu_8(4, 4) == D.mu_8_distribution(4)[4]
 

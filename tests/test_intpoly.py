@@ -129,15 +129,15 @@ def test_nonsquarefree_detected():
 def test_isolation_and_sign_at_root():
     # f = (x - 1)(x + 2)(x - 5)
     f = intpoly.mul(intpoly.mul([1, -1], [1, 2]), [1, -5])
-    ivs = intpoly.isolate_real_roots(f)
-    assert len(ivs) == 3
     chain = intpoly.sturm_chain(f)
+    ivs = intpoly.isolate_real_roots(chain)
+    assert len(ivs) == 3
     roots = [-2, 1, 5]
     for iv, r in zip(ivs, roots):
         assert iv[0] < r <= iv[1]
         # sign of q = x - 0.5 at each root
         expected = 1 if r > 0.5 else -1
-        assert intpoly.sign_at_root(f, chain, iv, [2, -1]) == expected
+        assert intpoly.sign_at_root(chain, iv, [2, -1]) == expected
 
 
 def test_poly_gcd():

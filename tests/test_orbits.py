@@ -1,7 +1,8 @@
 import pytest
 
-from pencilorbits.forms import BinaryForm, UnimodularMatrix2, sl2_act
+from pencilorbits.forms import BinaryForm, UnimodularMatrix2, evaluate, sl2_act
 from pencilorbits import rings
+from pencilorbits.numutil import det
 from pencilorbits.orbits import (
     CurvePoint,
     SymmetricPair,
@@ -26,6 +27,33 @@ def test_invariant_form_examples():
     A = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
     Z = tuple(tuple(0 for _ in range(4)) for _ in range(4))
     assert invariant_form(SymmetricPair(A, Z)).coeffs == (1, 0, 0, 0, 0)
+
+
+def random_symmetric(n, rng, rank=None):
+    """Random symmetric integer matrix; with a rank < n, a signed sum of that
+    many rank-one matrices, hence singular."""
+    if rank is None:
+        M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        return tuple(tuple(M[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
+    vecs = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rank)]
+    signs = [rng.choice((-1, 1)) for _ in range(rank)]
+    return tuple(tuple(sum(s * u[i] * u[j] for s, u in zip(signs, vecs)) for j in range(n)) for i in range(n))
+
+
+def test_invariant_form_matches_determinant_on_random_pairs(rng):
+    for n in range(2, 11, 2):
+        for trial in range(6):
+            A = random_symmetric(n, rng, rank=n - 1 if trial == 1 else None)
+            B = random_symmetric(n, rng, rank=n // 2 if trial == 2 else None)
+            v = SymmetricPair(A, B)
+            f = invariant_form(v)
+            sign = (-1) ** (n // 2)
+            points = [(1, 0), (0, 1)] + [(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(n)]
+            for x, y in points:
+                M = [[A[i][j] * x - B[i][j] * y for j in range(n)] for i in range(n)]
+                assert evaluate(f, x, y) == sign * det(M), (n, trial, x, y)
+            if trial in (1, 2):
+                assert f.coeffs[0 if trial == 1 else n] == 0
 
 
 def test_templates_pinned_to_printed_matrices():

@@ -1,7 +1,9 @@
 import random
 
+from pencilorbits import gfpoly, intpoly
 from pencilorbits.forms import BinaryForm, discriminant
 from pencilorbits.search import (
+    _takes_unit_square_value,
     locally_soluble_R,
     locally_soluble_everywhere,
     locally_soluble_p,
@@ -85,6 +87,36 @@ def test_large_prime_descent():
     f = BinaryForm((1, 0, 0, 0, -(10007**2)))
     assert discriminant(f) % 10007 == 0
     locally_soluble_p(f, 10007)
+
+
+def test_weil_shortcut_needs_large_prime():
+    # 1031 divides Disc f != 0, and f mod 1031 has degree 32 > sqrt(1031) - 2,
+    # too high for the Weil bound to promise a square value
+    square_times_g = intpoly.mul(intpoly.mul([1, -1], [1, -1]), [1] + [0] * 28 + [2, 3])
+    f = BinaryForm(tuple(intpoly.add(square_times_g, [1031] + [0] * 31 + [1031 * 5])))
+    disc = discriminant(f)
+    assert disc != 0 and disc % 1031 == 0
+    assert locally_soluble_p(f, 1031) is True
+
+
+def test_unit_square_value_against_scan(rng):
+    def random_poly(d, p):
+        return [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(d)]
+
+    def scan(hbar, p):
+        return any(pow(intpoly.evaluate(hbar, t) % p, (p - 1) // 2, p) == 1 for t in range(p))
+
+    for p in (1031, 1163):  # below and above (32 + 2)^2 = 1156
+        nonresidue = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        for d in (31, 32):
+            # h = s * G^2 with s of degree 0..3 or d, s = 1 and a non-residue included
+            for s in ([1], [nonresidue], *(random_poly(k, p) for k in (1, 2, 3, d))):
+                odd = len(s) - 1
+                if (d - odd) % 2:
+                    continue
+                G = random_poly((d - odd) // 2, p)
+                hbar = gfpoly.normalize(intpoly.mul(intpoly.mul(G, G), s), p)
+                assert _takes_unit_square_value(hbar, p) == scan(hbar, p), (p, d, odd)
 
 
 def test_survey_coherence(rng):
