@@ -11,7 +11,8 @@ import sys
 import time
 
 from . import densities, finite_fields, search
-from .forms import BinaryForm, discriminant
+from .forms import BinaryForm
+from .numutil import is_prime
 from .orbits import CurvePoint, SymmetricPair, invariant_form, pair_from_point, x_minus_T
 from .rings import algebra_norm
 from .search import DescentBudgetError
@@ -21,6 +22,9 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
+
+# --jobs range: worker processes are started up front, one per job
+MAX_JOBS = 64
 
 
 class CliValidationError(Exception):
@@ -35,9 +39,13 @@ def _parse_form(text: str) -> BinaryForm:
         raise CliValidationError(f"bad form {text!r}: {exc}")
 
 
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_VALIDATION
+def _require(ok: bool, msg: str) -> None:
+    if not ok:
+        raise CliValidationError(msg)
+
+
+def _require_jobs(jobs: int) -> None:
+    _require(1 <= jobs <= MAX_JOBS, f"--jobs must be between 1 and {MAX_JOBS}")
 
 
 def _emit(command: str, inputs: dict, payload, seed: int | None, csv_lines: list[str] | None = None, csv: bool = False):
@@ -56,17 +64,14 @@ def _emit(command: str, inputs: dict, payload, seed: int | None, csv_lines: list
 
 def _cmd_orbit(args) -> int:
     f = _parse_form(args.form)
-    if f.degree != args.n:
-        return _fail(f"form has degree {f.degree}, expected {args.n}")
+    _require(f.degree == args.n, f"form has degree {f.degree}, expected {args.n}")
     try:
         x0, y0, z0 = (int(t) for t in args.point.split(","))
         P = CurvePoint(x0, y0, z0)
     except ValueError as exc:
-        return _fail(f"bad point: {exc}")
-    if discriminant(f) == 0:
-        return _fail("form is degenerate (Disc = 0)")
-    if not P.on_curve(f):
-        return _fail("point is not on z^2 = f(x, y)")
+        raise CliValidationError(f"bad point: {exc}")
+    _require(f.disc != 0, "form is degenerate (Disc = 0)")
+    _require(P.on_curve(f), "point is not on z^2 = f(x, y)")
     v = pair_from_point(f, P)
     payload = {
         "A": [list(r) for r in v.A],
@@ -86,8 +91,8 @@ def _cmd_verify(args) -> int:
     f = _parse_form(args.form)
     try:
         pair = SymmetricPair.from_json(args.pair)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail(f"bad pair: {exc}")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliValidationError(f"bad pair: {exc}")
     fv = invariant_form(pair)
     payload = {
         "invariant_form": [str(c) for c in fv.coeffs],
@@ -98,9 +103,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_count_fp(args) -> int:
+    _require(is_prime(args.p), f"--p must be a prime, got {args.p}")
     f = _parse_form(args.form)
-    if f.degree != args.n:
-        return _fail(f"form has degree {f.degree}, expected {args.n}")
+    _require(f.degree == args.n, f"form has degree {f.degree}, expected {args.n}")
     try:
         stats = finite_fields.count_pairs_with_form(f, args.p)
     except finite_fields.BudgetExceededError as exc:
@@ -120,8 +125,11 @@ def _cmd_count_fp(args) -> int:
 
 
 def _cmd_densities(args) -> int:
-    if args.genus < 0:
-        return _fail("genus must be >= 0")
+    _require(args.genus >= 0, "--genus must be >= 0")
+    _require(args.genus_count >= 1, "--genus-count must be >= 1")
+    _require(args.primes >= 2, "--primes must be >= 2")
+    _require(args.samples >= 0, "--samples must be >= 0")
+    _require_jobs(args.jobs)
     reports = []
     for g in range(args.genus, args.genus + args.genus_count):
         if args.samples > 0:
@@ -158,6 +166,7 @@ def _cmd_densities(args) -> int:
 
 
 def _cmd_genus0(args) -> int:
+    _require(args.primes >= 3, "--primes must be >= 3")
     val = densities.genus0_product(args.primes)
     payload = {
         "truncation_prime": args.primes,
@@ -176,6 +185,11 @@ def _log10_fraction(x) -> float:
 
 
 def _cmd_survey(args) -> int:
+    _require(args.n >= 2 and args.n % 2 == 0, "--n must be even and >= 2")
+    _require(args.height >= 1, "--height must be >= 1 (height 0 admits only the zero form)")
+    _require(args.count >= 0, "--count must be >= 0")
+    _require(args.point_bound >= 0, "--point-bound must be >= 0")
+    _require_jobs(args.jobs)
     try:
         records, agg = search.survey(args.n, args.height, args.point_bound, args.count, args.seed, jobs=args.jobs)
     except DescentBudgetError as exc:
@@ -257,7 +271,8 @@ def run(argv: list[str]) -> int:
     try:
         code = args.func(args)
     except CliValidationError as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except DescentBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

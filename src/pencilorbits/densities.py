@@ -172,6 +172,12 @@ def factor_count_distribution(n: int, p: int) -> tuple[int, ...]:
     dp = [[0] * (n + 1) for _ in range(n + 1)]  # dp[t][m]
     dp[0][0] = 1
     for d in range(1, n + 1):
+        # degree s*d taken by j distinct degree-d irreducibles: w ways
+        terms = [
+            (s * d, j, math.comb(A[d], j) * math.comb(s - 1, j - 1))
+            for s in range(1, n // d + 1)
+            for j in range(1, s + 1)
+        ]
         new = [row[:] for row in dp]
         for t in range(n + 1):
             row = dp[t]
@@ -179,11 +185,10 @@ def factor_count_distribution(n: int, p: int) -> tuple[int, ...]:
                 v = row[m]
                 if not v:
                     continue
-                for tp in range(d, n - t + 1, d):
-                    s = tp // d
-                    for j in range(1, s + 1):
-                        w = math.comb(A[d], j) * math.comb(s - 1, j - 1)
-                        new[t + tp][m + j] += v * w
+                for tp, j, w in terms:
+                    if tp > n - t:
+                        break
+                    new[t + tp][m + j] += v * w
         dp = new
     return tuple((p - 1) * dp[n][m] for m in range(n + 1))
 

@@ -4,6 +4,7 @@ statistics, and seeded random sampling."""
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from . import gfpoly, intpoly
@@ -32,6 +33,11 @@ class BinaryForm:
     @property
     def genus(self) -> int:
         return self.degree // 2 - 1
+
+    @cached_property
+    def disc(self) -> int:
+        """Disc(f) (see `discriminant`), computed once per form."""
+        return discriminant(self)
 
     def univariate(self) -> list[int]:
         """f(x, 1) as a descending coefficient list (not stripped)."""
@@ -228,7 +234,9 @@ def random_form(n: int, X: int, seed: int) -> BinaryForm:
 
 def random_nondegenerate_form(n: int, X: int, rng: random.Random) -> BinaryForm:
     """Resample until Disc != 0 (the degenerate locus has tiny mass)."""
+    if X < 1:
+        raise ValueError("need X >= 1: height 0 admits only the zero form")
     while True:
         f = BinaryForm(tuple(rng.randint(-X, X) for _ in range(n + 1)))
-        if any(f.coeffs) and discriminant(f) != 0:
+        if any(f.coeffs) and f.disc != 0:
             return f

@@ -277,14 +277,13 @@ def isolate_real_roots(chain: list[list]) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def sign_at_root(chain: list[list], interval: tuple, q: list) -> int:
+def sign_at_root(chain: list[list], interval: tuple, q: list, qchain: list[list]) -> int:
     """Sign of q at the unique root of chain[0] in the interval, chain being
-    its Sturm chain.
+    its Sturm chain and qchain the Sturm chain of squarefree_part(q), which
+    a caller asking about several roots builds once.
 
     Requires that q does not vanish at that root (e.g. gcd(chain[0], q) = 1)."""
     lo, hi = interval
-    qsf = squarefree_part(q)
-    qchain = sturm_chain(qsf)
     while True:
         if count_roots_between(qchain, lo, hi) == 0:
             v = evaluate(q, hi)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import rings
-from .forms import BinaryForm, UnimodularMatrix2, discriminant, evaluate, sl2_act
+from .forms import BinaryForm, UnimodularMatrix2, evaluate, sl2_act
 from .numutil import det, solve
 from .rings import AlgebraElement, BasedIdeal
 
@@ -135,7 +135,7 @@ def pair_from_point(f: BinaryForm, P: CurvePoint) -> SymmetricPair:
     """Integral pair with invariant form exactly f, from a point on
     z^2 = f(x, y): move the point to (0, 1) by gamma in SL2(Z), instantiate
     the template there, and pull back through the pencil action."""
-    if discriminant(f) == 0:
+    if f.disc == 0:
         raise ValueError("Disc(f) = 0")
     if not P.on_curve(f):
         raise ValueError("point does not lie on z^2 = f(x, y)")
@@ -208,7 +208,7 @@ def verify_pair_data(I: BasedIdeal, alpha: AlgebraElement) -> tuple[bool, list[s
     f = I.form
     n = f.degree
     diagnostics: list[str] = []
-    if discriminant(f) == 0:
+    if f.disc == 0:
         return False, ["Disc(f) = 0"]
     target = _target_module_basis(f)
     target_ideal = BasedIdeal(f, tuple(target))

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import gfpoly, intpoly
-from .forms import BinaryForm, discriminant
+from .forms import BinaryForm
 from .numutil import det, hnf_rows, is_prime, solve
 
 
@@ -288,7 +288,7 @@ def ring_from_form(f: BinaryForm, verify: bool = True) -> RankNRing:
             row.append(tuple(vec))
         table.append(tuple(row))
     ring = RankNRing(f, tuple(table))
-    if verify and discriminant(f) != 0:
+    if verify and f.disc != 0:
         for i in range(1, n):
             for j in range(i, n):
                 prod = algebra_mul(zeta_element(f, i), zeta_element(f, j))
@@ -474,7 +474,7 @@ def same_square_class(
     G, D = gamma.numerator_poly()
     if not G:
         raise ZeroDivisionError("elements must be invertible")
-    disc = discriminant(f)
+    disc = f.disc
     if disc == 0:
         raise ValueError("Disc(f) = 0")
     funiv = f.univariate()
@@ -484,9 +484,12 @@ def same_square_class(
 
     # real witnesses: gamma must be positive at every real root of f(x,1)
     chain = intpoly.sturm_chain(intpoly.strip(funiv))
-    for interval in intpoly.isolate_real_roots(chain):
-        if intpoly.sign_at_root(chain, interval, G) < 0:
-            return SquareClassVerdict.DISTINCT
+    intervals = intpoly.isolate_real_roots(chain)
+    if intervals:
+        gchain = intpoly.sturm_chain(intpoly.squarefree_part(G))
+        for interval in intervals:
+            if intpoly.sign_at_root(chain, interval, G, gchain) < 0:
+                return SquareClassVerdict.DISTINCT
 
     bad = abs(f.coeffs[0] * disc * D * res)
     p, used = 1, 0

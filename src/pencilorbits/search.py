@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from . import gfpoly
-from .forms import BinaryForm, discriminant, evaluate, random_nondegenerate_form, real_root_count
+from .forms import BinaryForm, evaluate, random_nondegenerate_form, real_root_count
 from .numutil import factorize, isqrt_exact, primes_upto
 from .orbits import CurvePoint
 
@@ -30,7 +30,7 @@ def rational_point_search(f: BinaryForm, B: int) -> CurvePoint | None:
     """Smallest primitive point (x0, y0, z0) with |x0|, |y0| <= B on
     z^2 = f(x, y), if any; the points at infinity (1, 0, +-z) are included
     when f0 is a perfect square.  Exact integer square testing throughout."""
-    if discriminant(f) == 0:
+    if f.disc == 0:
         raise ValueError("Disc(f) = 0")
     z = isqrt_exact(f.coeffs[0])
     if z is not None:
@@ -76,7 +76,7 @@ def locally_soluble_p(f: BinaryForm, p: int, depth_budget: int | None = None) ->
 
     Odd p of good reduction above the Hasse-Weil threshold return True
     immediately; otherwise the residue-disk descent decides exactly."""
-    disc = discriminant(f)
+    disc = f.disc
     if disc == 0:
         raise ValueError("Disc(f) = 0")
     g = f.genus
@@ -219,7 +219,7 @@ def _val2(c: int) -> int:
 def locally_soluble_everywhere(f: BinaryForm) -> tuple[bool, dict[str, bool]]:
     """Verdicts at the real place, p = 2, every odd p <= 4g^2 + 4, and every
     odd prime dividing Disc(f)."""
-    disc = discriminant(f)
+    disc = f.disc
     if disc == 0:
         raise ValueError("Disc(f) = 0")
     g = f.genus
@@ -268,8 +268,7 @@ class SurveyAggregate:
 
 
 def _survey_one(args) -> SurveyRecord:
-    coeffs, B = args
-    f = BinaryForm(coeffs)
+    f, B = args
     soluble, verdicts = locally_soluble_everywhere(f)
     pt = rational_point_search(f, B)
     return SurveyRecord(
@@ -287,8 +286,8 @@ def survey(n: int, X: int, B: int, count: int, seed: int, jobs: int = 1):
     solubility and small points.  Sampling happens up front, so records are
     deterministic per seed and independent of the worker count."""
     rng = random.Random(seed)
-    forms = [random_nondegenerate_form(n, X, rng).coeffs for _ in range(count)]
-    tasks = [(coeffs, B) for coeffs in forms]
+    forms = [random_nondegenerate_form(n, X, rng) for _ in range(count)]
+    tasks = [(f, B) for f in forms]
     if jobs > 1 and count > 1:
         import multiprocessing
 

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
-from pencilorbits.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, run
+import pytest
+
+from pencilorbits.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, MAX_JOBS, run
 
 
 def _run(argv):
@@ -105,3 +110,40 @@ def test_orbit_output_feeds_verify():
     code, out2, _ = _run(["verify", "--form", "1,2,-3,1,9", "--pair", pair])
     assert code == EXIT_OK
     assert json.loads(out2)["payload"]["matches_form"] is True
+
+
+# Each argv runs in a fresh interpreter under a timeout, so a hang fails the
+# test instead of stalling the suite.  The --jobs cases use inputs that make
+# a single work chunk, so no worker process would start even if the range
+# check were missing.
+ARGV_EXIT_CODES = [
+    (["survey", "--n", "4", "--height", "0", "--count", "2"], EXIT_VALIDATION),
+    (["survey", "--n", "3", "--height", "5", "--count", "2"], EXIT_VALIDATION),
+    (["survey", "--n", "4", "--height", "5", "--count", "-1"], EXIT_VALIDATION),
+    (["survey", "--n", "4", "--height", "5", "--count", "1", "--jobs", "0"], EXIT_VALIDATION),
+    (["genus0", "--primes", "2"], EXIT_VALIDATION),
+    (["count-fp", "--n", "2", "--form", "1,0,1", "--p", "0"], EXIT_VALIDATION),
+    (["count-fp", "--n", "2", "--form", "1,0,1", "--p", "1"], EXIT_VALIDATION),
+    (["count-fp", "--n", "2", "--form", "1,0,1", "--p", "4"], EXIT_VALIDATION),
+    (["densities", "--genus", "1", "--samples", "-5"], EXIT_VALIDATION),
+    (["densities", "--genus", "1", "--genus-count", "0"], EXIT_VALIDATION),
+    (["densities", "--genus", "1", "--samples", "10", "--jobs", "0"], EXIT_VALIDATION),
+    (["densities", "--genus", "1", "--samples", "10", "--jobs", str(MAX_JOBS + 1)], EXIT_VALIDATION),
+    (["verify", "--form", "1,0,1", "--pair", "[1]"], EXIT_VALIDATION),
+    (["count-fp", "--n", "2", "--form", "1,0,2", "--p", "3"], EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("argv, expected", ARGV_EXIT_CODES, ids=[" ".join(a) for a, _ in ARGV_EXIT_CODES])
+def test_cli_exit_codes(argv, expected):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pencilorbits.cli", *argv], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if expected == EXIT_VALIDATION:
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

@@ -133,11 +133,12 @@ def test_isolation_and_sign_at_root():
     ivs = intpoly.isolate_real_roots(chain)
     assert len(ivs) == 3
     roots = [-2, 1, 5]
+    qchain = intpoly.sturm_chain([2, -1])
     for iv, r in zip(ivs, roots):
         assert iv[0] < r <= iv[1]
         # sign of q = x - 0.5 at each root
         expected = 1 if r > 0.5 else -1
-        assert intpoly.sign_at_root(chain, iv, [2, -1]) == expected
+        assert intpoly.sign_at_root(chain, iv, [2, -1], qchain) == expected
 
 
 def test_poly_gcd():

@@ -222,3 +222,18 @@ def test_ideal_power_basis_n4_k1_layout():
     assert I.basis[1] == element_theta(f)
     assert I.basis[2] == rings.zeta_element(f, 2)
     assert I.basis[3] == rings.zeta_element(f, 3)
+
+
+def test_same_square_class_builds_each_sturm_chain_once(monkeypatch):
+    # x^6 - 2 has two real roots; gamma = alpha^2 is positive at both, so the
+    # real-witness loop visits both: one chain for f, one for G
+    from pencilorbits import intpoly
+
+    calls = []
+    chain = intpoly.sturm_chain
+    monkeypatch.setattr(intpoly, "sturm_chain", lambda p: calls.append(p) or chain(p))
+    f = BinaryForm((1, 0, 0, 0, 0, 0, -2))
+    th = element_theta(f)
+    alpha = algebra_mul(th, th) + 1
+    assert same_square_class(alpha, alpha, trials=3) == SquareClassVerdict.EQUAL
+    assert len(calls) == 2

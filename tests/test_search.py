@@ -153,3 +153,16 @@ def test_genus0_trend(rng):
     frac_small = agg_small.with_point / agg_small.count
     frac_large = agg_large.with_point / agg_large.count
     assert frac_large <= frac_small + 0.05
+
+
+def test_discriminant_computed_once_per_curve(monkeypatch):
+    from pencilorbits import forms
+
+    calls = []
+    disc = forms.discriminant
+    monkeypatch.setattr(forms, "discriminant", lambda f: calls.append(f) or disc(f))
+    f = BinaryForm((3, -7, 2, 11, -5))
+    locally_soluble_everywhere(f)
+    rational_point_search(f, 6)
+    assert len(calls) == 1
+    assert f.disc == disc(f)
