@@ -214,8 +214,16 @@ def _cmd_survey(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns a bad argv into a CliValidationError, so it takes the one-line
+    `error:` path of every validation failure; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise CliValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="pencilorbits", description=__doc__)
+    ap = _Parser(prog="pencilorbits", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("orbit", help="pair (A, B) from a form and a point on z^2 = f")
@@ -263,13 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_VALIDATION if exc.code not in (0, None) else 0
     t0 = time.time()
     try:
+        args = ap.parse_args(argv)
         code = args.func(args)
+    except SystemExit:  # --help
+        return EXIT_OK
     except CliValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

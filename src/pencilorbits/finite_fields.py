@@ -2,12 +2,21 @@
 over F_p: totals, orbit decompositions under SL_n^+- and stabilizers, counts
 of square values on P^1, and the closed-form predictions they must match.
 
-The n = 2 enumerations work with explicit little matrices; the n = 4, p = 2
-total count evaluates det(Ax - By) at five points of P^1(F_4) for all 2^20
-pairs with numpy bit-plane arithmetic and tallies invariant forms by key.
+n = 2, p <= 7: a symmetric matrix [[m0, m1], [m1, m2]] is coded as
+m0*p^2 + m1*p + m2 and a pair (A, B) as A*p^3 + B.  The census buckets all
+p^6 pair codes by invariant form in one numpy pass.  An orbit is the image of
+its smallest pair under every element of SL_2^+-(F_p) at once, and the
+stabilizer is counted among those images, not derived from the orbit size.
+
+n = 4, p = 2: the census evaluates det(Ax - By) at the five points of
+P^1(F_4) for all 2^20 pairs, 16 rows of A against all of B per numpy pass,
+in F_4 bit planes, and tallies the pairs by the key of the five values.  In
+characteristic 2 the determinant is the permanent, so a Laplace expansion
+along rows 0, 1 costs 30 products instead of the 72 of the permutation sum.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,6 +28,9 @@ from .gfpoly import gf_eval
 
 class BudgetExceededError(RuntimeError):
     """Enumeration outside the supported (n, p) budget."""
+
+
+N2_MAX_P = 7  # largest p for the n = 2 enumeration (p^6 pairs)
 
 
 @dataclass
@@ -49,39 +61,22 @@ def sl_n_order(n: int, p: int) -> int:
     return order
 
 
-def _sym_matrices(n: int, p: int):
-    """All symmetric n x n matrices over F_p as tuples of row tuples."""
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    for vals in itertools.product(range(p), repeat=len(pairs)):
-        M = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(pairs, vals):
-            M[i][j] = M[j][i] = v
-        yield tuple(tuple(r) for r in M)
-
-
-def _invariant_form_2x2(A, B, p: int) -> tuple[int, int, int]:
-    """(-1) * det(Ax - By) coefficients mod p for n = 2."""
-    f0 = -(A[0][0] * A[1][1] - A[0][1] ** 2)
-    f2 = -(B[0][0] * B[1][1] - B[0][1] ** 2)
-    f1 = A[0][0] * B[1][1] + A[1][1] * B[0][0] - 2 * A[0][1] * B[0][1]
-    return (f0 % p, f1 % p, f2 % p)
-
-
 @lru_cache(maxsize=8)
-def _group_sl2pm(p: int) -> tuple:
-    """All of SL_2^+-(F_p) (determinant +-1)."""
-    out = []
-    for a, b, c, d in itertools.product(range(p), repeat=4):
-        if (a * d - b * c) % p in (1, p - 1):
-            out.append(((a, b), (c, d)))
-    return tuple(out)
+def _group_sl2pm(p: int) -> np.ndarray:
+    """All of SL_2^+-(F_p) (determinant +-1) as four int32 columns a, b, c, d."""
+    g = np.indices((p,) * 4, dtype=np.int32).reshape(4, -1)
+    a, b, c, d = g
+    return g[:, np.isin((a * d - b * c) % p, (1, p - 1))]
 
 
-def _act(g, M, p: int):
-    n = len(M)
-    gM = [[sum(g[i][k] * M[k][j] for k in range(n)) % p for j in range(n)] for i in range(n)]
-    out = [[sum(gM[i][k] * g[j][k] for k in range(n)) % p for j in range(n)] for i in range(n)]
-    return tuple(tuple(r) for r in out)
+def _images(g: np.ndarray, codes: np.ndarray, p: int) -> np.ndarray:
+    """Codes of g M g^T for every group column of g (one row per code of M)."""
+    a, b, c, d = g
+    m = codes[:, None]
+    m0, m1, m2 = m // (p * p), m // p % p, m % p
+    r0, r1 = a * m0 + b * m1, a * m1 + b * m2  # rows of g M
+    s0, s1 = c * m0 + d * m1, c * m1 + d * m2
+    return ((r0 * a + r1 * b) % p * p + (r0 * c + r1 * d) % p) * p + (s0 * c + s1 * d) % p
 
 
 def count_pairs_with_form(f: BinaryForm, p: int) -> OrbitStats:
@@ -92,7 +87,7 @@ def count_pairs_with_form(f: BinaryForm, p: int) -> OrbitStats:
     the vectorized 2^20 enumeration.  Anything else exceeds the budget.
     """
     n = f.degree
-    if n == 2 and p <= 7:
+    if n == 2 and p <= N2_MAX_P:
         return _count_n2(f, p)
     if n == 4 and p == 2:
         key = _quartic_key(tuple(c % 2 for c in f.coeffs))
@@ -107,47 +102,44 @@ def count_pairs_with_form(f: BinaryForm, p: int) -> OrbitStats:
 
 
 @lru_cache(maxsize=8)
-def pair_census_n2(p: int) -> dict[tuple[int, int, int], list]:
-    """All of V(F_2x2) bucketed by invariant form (one enumeration per p)."""
-    census: dict[tuple[int, int, int], list] = {}
-    mats = list(_sym_matrices(2, p))
-    for A in mats:
-        for B in mats:
-            census.setdefault(_invariant_form_2x2(A, B, p), []).append((A, B))
-    return census
+def pair_census_n2(p: int) -> dict[tuple[int, int, int], np.ndarray]:
+    """All p^6 pairs (A, B) of symmetric 2 x 2 matrices over F_p as ascending
+    int32 arrays of pair codes A*p^3 + B, bucketed by the invariant form
+    (-1) * det(Ax - By) mod p."""
+    if p > N2_MAX_P:
+        raise BudgetExceededError(f"n = 2 census at p = {p} is outside the enumeration budget")
+    m0, m1, m2 = np.indices((p, p, p), dtype=np.int32).reshape(3, -1)
+    neg_det = (m1 * m1 - m0 * m2) % p
+    mixed = np.multiply.outer(m0, m2) + np.multiply.outer(m2, m0) - 2 * np.multiply.outer(m1, m1)
+    key = ((neg_det[:, None] * p + mixed % p) * p + neg_det[None, :]).ravel()
+    order = np.argsort(key, kind="stable").astype(np.int32)
+    order.flags.writeable = False  # the buckets are views into it, shared through the cache
+    forms, starts = np.unique(key[order], return_index=True)
+    return {
+        (k // (p * p), k // p % p, k % p): bucket
+        for k, bucket in zip(forms.tolist(), np.split(order, starts[1:]))
+    }
 
 
 def _count_n2(f: BinaryForm, p: int) -> OrbitStats:
     target = tuple(c % p for c in f.coeffs)
-    members = pair_census_n2(p).get(target, [])
-    # S, T generate SL_2(F_p); J extends to determinant -1
-    gens = (((0, 1), (p - 1, 0)), ((1, 1), (0, 1)), ((1, 0), (0, p - 1)))
-    remaining = set(members)
-    orbit_sizes = []
+    members = pair_census_n2(p).get(target, np.zeros(0, np.int32))
+    g = _group_sl2pm(p)
+    p3 = p**3
+    alive = np.ones(len(members), bool)
     stab_sizes = []
-    group = _group_sl2pm(p)
-    while remaining:
-        start = min(remaining)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            A, B = frontier.pop()
-            for g in gens:
-                img = (_act(g, A, p), _act(g, B, p))
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        remaining -= orbit
-        orbit_sizes.append(len(orbit))
-        A0, B0 = start
-        stab = sum(1 for g in group if (_act(g, A0, p), _act(g, B0, p)) == (A0, B0))
-        stab_sizes.append(stab)
+    while alive.any():
+        start = members[alive.argmax()]  # smallest pair not yet in an orbit
+        A, B = _images(g, np.array([start // p3, start % p3]), p)
+        orbit = A * p3 + B
+        stab_sizes.append(int(np.count_nonzero(orbit == start)))
+        alive[np.searchsorted(members, orbit)] = False
     sq = square_value_count(f, p) if p != 2 else None
     return OrbitStats(
         p=p,
         form=target,
         total_elements=len(members),
-        orbit_count=len(orbit_sizes),
+        orbit_count=len(stab_sizes),
         stabilizer_sizes=tuple(sorted(stab_sizes)),
         square_point_count=sq,
     )
@@ -155,64 +147,62 @@ def _count_n2(f: BinaryForm, p: int) -> OrbitStats:
 
 # -- n = 4, p = 2: five-point determinant keys over F_4 ----------------------
 
-def _det4_f2(M: np.ndarray) -> np.ndarray:
-    d = np.zeros(M.shape[:-2], np.uint8)
-    for perm in itertools.permutations(range(4)):
-        t = M[..., 0, perm[0]] & M[..., 1, perm[1]] & M[..., 2, perm[2]] & M[..., 3, perm[3]]
-        d ^= t
-    return d
+_QUARTIC_BLOCK = 16  # rows of A per numpy pass: 16 x 2^10 = 2^14 pairs
 
 
-def _det4_f4(Ml: np.ndarray, Mh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _f4_mul(x, y):
     # F_4 = F_2[w]/(w^2 + w + 1), elements stored as (lo, hi) bit planes
-    def f4_mul(al, ah, bl, bh):
-        t = ah & bh
-        return (al & bl) ^ t, (al & bh) ^ (ah & bl) ^ t
+    (al, ah), (bl, bh) = x, y
+    t = ah & bh
+    return (al & bl) ^ t, (al & bh) ^ (ah & bl) ^ t
 
-    dl = np.zeros(Ml.shape[:-2], np.uint8)
-    dh = dl.copy()
-    for perm in itertools.permutations(range(4)):
-        pl, ph = Ml[..., 0, perm[0]], Mh[..., 0, perm[0]]
-        for r in range(1, 4):
-            pl, ph = f4_mul(pl, ph, Ml[..., r, perm[r]], Mh[..., r, perm[r]])
-        dl ^= pl
-        dh ^= ph
-    return dl, dh
+
+def _f4_add(x, y):
+    return x[0] ^ y[0], x[1] ^ y[1]
+
+
+def _det4(M, mul, add):
+    """det of 4 x 4 matrices in characteristic 2, with entries M[i][j] over
+    F_2 (mul = and, add = xor) or F_4.  There det is the permanent, so the
+    Laplace expansion along rows 0, 1 needs no signs: 6 column pairs, each a
+    top minor, a complementary bottom minor and their product, 30 products."""
+    d = None
+    for j, k in itertools.combinations(range(4), 2):
+        l, m = (c for c in range(4) if c not in (j, k))
+        top = add(mul(M[0][j], M[1][k]), mul(M[0][k], M[1][j]))
+        bottom = add(mul(M[2][l], M[3][m]), mul(M[2][m], M[3][l]))
+        d = mul(top, bottom) if d is None else add(d, mul(top, bottom))
+    return d
 
 
 @lru_cache(maxsize=1)
 def _quartic_pair_table() -> np.ndarray:
     """counts[key] over all 2^20 pairs; key packs det(Ax-By) evaluated at
     (1:0), (0:1), (1:1) over F_2 and (w:1), (w^2:1) over F_4."""
-    idx = np.arange(1 << 10, dtype=np.uint32)
-    bits = ((idx[:, None] >> np.arange(10)) & 1).astype(np.uint8)
-    M = np.zeros((1 << 10, 4, 4), np.uint8)
-    k = 0
-    for i in range(4):
-        for j in range(i, 4):
-            M[:, i, j] = bits[:, k]
-            M[:, j, i] = bits[:, k]
-            k += 1
-    detM = _det4_f2(M)
+    idx = np.arange(1 << 10)
+    E = [[None] * 4 for _ in range(4)]  # entries of all 2^10 symmetric matrices
+    for k, (i, j) in enumerate(itertools.combinations_with_replacement(range(4), 2)):
+        E[i][j] = E[j][i] = ((idx >> k) & 1).astype(np.uint8)
+    det_all = _det4(E, operator.and_, operator.xor)
+    B = [[e[None, :] for e in row] for row in E]
     counts = np.zeros(1 << 7, np.int64)
-    for a in range(1 << 10):
-        A = M[a]
-        dA = int(detM[a])
-        dB = detM
-        dAB = _det4_f2(A[None] ^ M)
+    for a0 in range(0, 1 << 10, _QUARTIC_BLOCK):
+        A = [[e[a0 : a0 + _QUARTIC_BLOCK, None] for e in row] for row in E]
+        AB = [[x ^ y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
+        dAB = _det4(AB, operator.and_, operator.xor)
         # at (w:1): entries w*A + B; at (w^2:1) = (w+1:1): entries (w+1)*A + B
-        dl1, dh1 = _det4_f4(np.broadcast_to(M, M.shape), np.broadcast_to(A[None], M.shape))
-        dl2, dh2 = _det4_f4(A[None] ^ M, np.broadcast_to(A[None], M.shape))
+        dl1, dh1 = _det4([list(zip(rb, ra)) for ra, rb in zip(A, B)], _f4_mul, _f4_add)
+        dl2, dh2 = _det4([list(zip(rab, ra)) for ra, rab in zip(A, AB)], _f4_mul, _f4_add)
         key = (
-            (np.int64(dA) << 6)
-            | (dB.astype(np.int64) << 5)
-            | (dAB.astype(np.int64) << 4)
-            | (dh1.astype(np.int64) << 3)
-            | (dl1.astype(np.int64) << 2)
-            | (dh2.astype(np.int64) << 1)
-            | dl2.astype(np.int64)
+            (det_all[a0 : a0 + _QUARTIC_BLOCK, None] << 6)
+            | (det_all[None, :] << 5)
+            | (dAB << 4)
+            | (dh1 << 3)
+            | (dl1 << 2)
+            | (dh2 << 1)
+            | dl2
         )
-        counts += np.bincount(key, minlength=1 << 7)
+        counts += np.bincount(key.ravel(), minlength=1 << 7)
     return counts
 
 

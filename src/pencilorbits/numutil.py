@@ -17,21 +17,19 @@ def primes_upto(n: int) -> list[int]:
     return [i for i, v in enumerate(sieve) if v]
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 13 primes; psi_13 is the least strong pseudoprime to all of them
+# (Sorenson & Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (the 12 bases cover n < 3.3e24)."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
+def _strong_probable_prime(n: int, bases) -> bool:
+    """Miller-Rabin strong probable-prime test of odd n > max(bases)."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -42,6 +40,70 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of odd n > 1 that is not a square, with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4 (Baillie & Wagstaff, Math. Comp. 35, 1980)."""
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):  # x / 2 mod n
+        return (x + n if x % 2 else x) // 2 % n
+
+    U, V, Qk = 0, 2, 1  # U_k, V_k, Q^k at k = 0, then along the bits of d
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def is_prime(n: int) -> bool:
+    """Primality of n.  Proven below psi_13 = 3.3e24, where Miller-Rabin with
+    the bases 2..41 is deterministic (2..37 alone already fail at psi_12 =
+    3.18e23).  From psi_13 on, the Baillie-PSW test (strong base-2 test and
+    strong Lucas test): no composite is known to pass it, but that is not
+    proven."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < _PSI_13:
+        return _strong_probable_prime(n, _MR_BASES)
+    return isqrt_exact(n) is None and _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:

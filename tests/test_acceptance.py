@@ -248,10 +248,11 @@ def test_criterion_04_ring_axioms():
 
 
 def test_criterion_05_fp_totals():
-    # n = 2: all separable forms at p in {2, 3, 5, 7}; decomposition at 3, 5
+    # n = 2: all separable forms at p in {2, 3, 5, 7}, totals and orbit
+    # decompositions; at p = 2, -1 = 1 and SL_2^+- is SL_2
     for p in (2, 3, 5, 7):
         expected = sl_n_order(2, p)
-        group_order = 2 * expected
+        group_order = expected if p == 2 else 2 * expected
         n_forms = 0
         for coeffs in itertools.product(range(p), repeat=3):
             if not any(coeffs):
@@ -261,11 +262,10 @@ def test_criterion_05_fp_totals():
                 continue
             stats = count_pairs_with_form(f, p)
             assert stats.total_elements == expected, (p, coeffs)
-            if p in (3, 5):
-                pred = orbit_statistics_prediction(f, p)
-                assert stats.orbit_count == pred.orbit_count, (p, coeffs)
-                assert stats.stabilizer_sizes == pred.stabilizer_sizes, (p, coeffs)
-                assert stats.consistent(group_order)
+            pred = orbit_statistics_prediction(f, p)
+            assert stats.orbit_count == pred.orbit_count, (p, coeffs)
+            assert stats.stabilizer_sizes == pred.stabilizer_sizes, (p, coeffs)
+            assert stats.consistent(group_order), (p, coeffs)
             n_forms += 1
         print(f"  n=2 p={p}: {n_forms} separable forms all have {expected} elements")
     # n = 4, p = 2 on separable quartics

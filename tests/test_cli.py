@@ -131,6 +131,9 @@ ARGV_EXIT_CODES = [
     (["densities", "--genus", "1", "--samples", "10", "--jobs", str(MAX_JOBS + 1)], EXIT_VALIDATION),
     (["verify", "--form", "1,0,1", "--pair", "[1]"], EXIT_VALIDATION),
     (["count-fp", "--n", "2", "--form", "1,0,2", "--p", "3"], EXIT_OK),
+    (["count-fp", "--n", "2", "--form", "1,0,1", "--p", "318665857834031151167461"], EXIT_VALIDATION),
+    (["survey", "--n", "abc", "--height", "5", "--count", "1"], EXIT_VALIDATION),
+    (["count-fp", "--n", "2", "--p", "3"], EXIT_VALIDATION),
 ]
 
 

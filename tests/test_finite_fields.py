@@ -1,10 +1,14 @@
 import itertools
+import random
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from pencilorbits.forms import BinaryForm, is_separable_mod_p
 from pencilorbits.finite_fields import (
     BudgetExceededError,
+    _quartic_pair_table,
     count_pairs_with_form,
     orbit_statistics_prediction,
     pair_census_n2,
@@ -94,3 +98,189 @@ def test_prediction_examples(rng):
     assert pred.orbit_count == 1 and pred.stabilizer_sizes == (1,)
     with pytest.raises(ValueError):
         orbit_statistics_prediction(BinaryForm((1, 2, 1)), 2)
+
+
+# -- enumeration oracles: the explicit-matrix n = 2 orbit walk and the
+# 24-permutation quartic census, kept as the library computed them before
+# both were vectorised --------------------------------------------------------
+
+
+def _sym_matrices(n: int, p: int):
+    """All symmetric n x n matrices over F_p as tuples of row tuples."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    for vals in itertools.product(range(p), repeat=len(pairs)):
+        M = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(pairs, vals):
+            M[i][j] = M[j][i] = v
+        yield tuple(tuple(r) for r in M)
+
+
+def _invariant_form_2x2(A, B, p: int) -> tuple[int, int, int]:
+    """(-1) * det(Ax - By) coefficients mod p for n = 2."""
+    f0 = -(A[0][0] * A[1][1] - A[0][1] ** 2)
+    f2 = -(B[0][0] * B[1][1] - B[0][1] ** 2)
+    f1 = A[0][0] * B[1][1] + A[1][1] * B[0][0] - 2 * A[0][1] * B[0][1]
+    return (f0 % p, f1 % p, f2 % p)
+
+
+@lru_cache(maxsize=8)
+def _group_sl2pm(p: int) -> tuple:
+    """All of SL_2^+-(F_p) (determinant +-1)."""
+    out = []
+    for a, b, c, d in itertools.product(range(p), repeat=4):
+        if (a * d - b * c) % p in (1, p - 1):
+            out.append(((a, b), (c, d)))
+    return tuple(out)
+
+
+def _act(g, M, p: int):
+    n = len(M)
+    gM = [[sum(g[i][k] * M[k][j] for k in range(n)) % p for j in range(n)] for i in range(n)]
+    out = [[sum(gM[i][k] * g[j][k] for k in range(n)) % p for j in range(n)] for i in range(n)]
+    return tuple(tuple(r) for r in out)
+
+
+@lru_cache(maxsize=8)
+def oracle_census_n2(p: int) -> dict:
+    census: dict[tuple[int, int, int], list] = {}
+    mats = list(_sym_matrices(2, p))
+    for A in mats:
+        for B in mats:
+            census.setdefault(_invariant_form_2x2(A, B, p), []).append((A, B))
+    return census
+
+
+def oracle_count_n2(coeffs, p: int) -> tuple:
+    """(total, orbit count, sorted stabilizer sizes, square point count) by a
+    generator walk of each orbit and a full-group stabilizer scan."""
+    target = tuple(c % p for c in coeffs)
+    members = oracle_census_n2(p).get(target, [])
+    # S, T generate SL_2(F_p); J extends to determinant -1
+    gens = (((0, 1), (p - 1, 0)), ((1, 1), (0, 1)), ((1, 0), (0, p - 1)))
+    remaining = set(members)
+    orbit_sizes = []
+    stab_sizes = []
+    group = _group_sl2pm(p)
+    while remaining:
+        start = min(remaining)
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            A, B = frontier.pop()
+            for g in gens:
+                img = (_act(g, A, p), _act(g, B, p))
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        remaining -= orbit
+        orbit_sizes.append(len(orbit))
+        A0, B0 = start
+        stab = sum(1 for g in group if (_act(g, A0, p), _act(g, B0, p)) == (A0, B0))
+        stab_sizes.append(stab)
+    squares = {(x * x) % p for x in range(p)}
+    values = [target[0] * a * a + target[1] * a + target[2] for a in range(p)] + [target[0]]
+    sq = sum(v % p in squares for v in values) if p != 2 else None
+    return len(members), len(orbit_sizes), tuple(sorted(stab_sizes)), sq
+
+
+def _det4_f2(M: np.ndarray) -> np.ndarray:
+    d = np.zeros(M.shape[:-2], np.uint8)
+    for perm in itertools.permutations(range(4)):
+        t = M[..., 0, perm[0]] & M[..., 1, perm[1]] & M[..., 2, perm[2]] & M[..., 3, perm[3]]
+        d ^= t
+    return d
+
+
+def _det4_f4(Ml: np.ndarray, Mh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # F_4 = F_2[w]/(w^2 + w + 1), elements stored as (lo, hi) bit planes
+    def f4_mul(al, ah, bl, bh):
+        t = ah & bh
+        return (al & bl) ^ t, (al & bh) ^ (ah & bl) ^ t
+
+    dl = np.zeros(Ml.shape[:-2], np.uint8)
+    dh = dl.copy()
+    for perm in itertools.permutations(range(4)):
+        pl, ph = Ml[..., 0, perm[0]], Mh[..., 0, perm[0]]
+        for r in range(1, 4):
+            pl, ph = f4_mul(pl, ph, Ml[..., r, perm[r]], Mh[..., r, perm[r]])
+        dl ^= pl
+        dh ^= ph
+    return dl, dh
+
+
+def oracle_quartic_pair_table() -> np.ndarray:
+    """counts[key] over all 2^20 pairs, one row of A per pass."""
+    idx = np.arange(1 << 10, dtype=np.uint32)
+    bits = ((idx[:, None] >> np.arange(10)) & 1).astype(np.uint8)
+    M = np.zeros((1 << 10, 4, 4), np.uint8)
+    k = 0
+    for i in range(4):
+        for j in range(i, 4):
+            M[:, i, j] = bits[:, k]
+            M[:, j, i] = bits[:, k]
+            k += 1
+    detM = _det4_f2(M)
+    counts = np.zeros(1 << 7, np.int64)
+    for a in range(1 << 10):
+        A = M[a]
+        dA = int(detM[a])
+        dB = detM
+        dAB = _det4_f2(A[None] ^ M)
+        # at (w:1): entries w*A + B; at (w^2:1) = (w+1:1): entries (w+1)*A + B
+        dl1, dh1 = _det4_f4(np.broadcast_to(M, M.shape), np.broadcast_to(A[None], M.shape))
+        dl2, dh2 = _det4_f4(A[None] ^ M, np.broadcast_to(A[None], M.shape))
+        key = (
+            (np.int64(dA) << 6)
+            | (dB.astype(np.int64) << 5)
+            | (dAB.astype(np.int64) << 4)
+            | (dh1.astype(np.int64) << 3)
+            | (dl1.astype(np.int64) << 2)
+            | (dh2.astype(np.int64) << 1)
+            | dl2.astype(np.int64)
+        )
+        counts += np.bincount(key, minlength=1 << 7)
+    return counts
+
+
+def _assert_matches_oracle(coeffs, p):
+    st = count_pairs_with_form(BinaryForm(coeffs), p)
+    got = (st.total_elements, st.orbit_count, st.stabilizer_sizes, st.square_point_count)
+    assert got == oracle_count_n2(coeffs, p), (p, coeffs)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_count_n2_matches_orbit_walk_every_form(p):
+    # every (a, b, c) in F_p^3, the zero form and inseparable forms included
+    for coeffs in itertools.product(range(p), repeat=3):
+        _assert_matches_oracle(coeffs, p)
+
+
+def test_count_n2_matches_orbit_walk_p7_sample():
+    p = 7
+    forms = [co for co in itertools.product(range(p), repeat=3) if any(co)]
+    inseparable = [co for co in forms if not is_separable_mod_p(BinaryForm(co), p)]
+    separable = [co for co in forms if co not in inseparable]
+    rng = random.Random(7007)
+    sample = [(0, 0, 0)] + rng.sample(inseparable, 8) + rng.sample(separable, 31)
+    assert len(sample) == 40
+    for coeffs in sample:
+        _assert_matches_oracle(coeffs, p)
+
+
+def test_census_codes_match_oracle_buckets():
+    for p in (2, 3, 5):
+        census = pair_census_n2(p)
+        oracle = oracle_census_n2(p)
+        assert census.keys() == oracle.keys()
+        for form, pairs in oracle.items():
+            codes = [
+                ((A[0][0] * p + A[0][1]) * p + A[1][1]) * p**3 + (B[0][0] * p + B[0][1]) * p + B[1][1]
+                for A, B in pairs
+            ]
+            assert census[form].tolist() == sorted(codes), (p, form)
+
+
+def test_quartic_table_matches_permutation_census():
+    table = _quartic_pair_table()
+    assert table.tolist() == oracle_quartic_pair_table().tolist()
+    assert int(table.sum()) == 1 << 20

@@ -85,3 +85,50 @@ def test_gf_eval_matches_integer_evaluation():
         coeffs = [rng.randint(-(10**8), 10**8) for _ in range(rng.randint(0, 9))]
         t = rng.randint(-300, 300)
         assert gfpoly.gf_eval(coeffs, t, p) == intpoly.evaluate(coeffs, t) % p
+
+
+# psi_12 and psi_13 are strong pseudoprimes to every prime base up to 37 and
+# up to 41 respectively (Sorenson & Webster)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_psi_12_and_psi_13():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert not numutil.is_prime(PSI_12)
+    assert not numutil.is_prime(PSI_13)
+    assert numutil.factorize(PSI_12) == {399165290221: 1, 798330580441: 1}
+    assert numutil.factorize(PSI_13) == {1287836182261: 1, 2575672364521: 1}
+    for q in (399165290221, 798330580441, 1287836182261, 2575672364521):
+        assert numutil.is_prime(q)
+
+
+def test_is_prime_matches_sieve():
+    limit = 20000
+    primes = set(numutil.primes_upto(limit))
+    assert [n for n in range(-3, limit + 1) if numutil.is_prime(n)] == sorted(primes)
+
+
+def test_is_prime_above_psi_13():
+    # the Baillie-PSW range: Mersenne primes, and composites made of them
+    # (PSI_13 itself passes the strong base-2 test, so the Lucas test decides)
+    m31, m61, m89, m107 = 2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1
+    for n in (m89, m107, 2**127 - 1, 2**521 - 1):
+        assert numutil.is_prime(n), n
+    for n in (m61 * m31, m89**2, m89 * m107, 2**89 + 1, PSI_13):
+        assert n >= PSI_13 and not numutil.is_prime(n), n
+
+
+def test_strong_lucas_pseudoprimes():
+    # the strong Lucas pseudoprimes below 10^5 with Selfridge's parameters
+    # (OEIS A217255); every odd prime passes the test
+    expected = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+    primes = set(numutil.primes_upto(10**5))
+    passing = [
+        n
+        for n in range(3, 10**5, 2)
+        if numutil.isqrt_exact(n) is None and numutil._strong_lucas_probable_prime(n)
+    ]
+    assert [n for n in passing if n not in primes] == expected
+    assert primes - {2} <= set(passing)
