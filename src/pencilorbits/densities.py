@@ -164,8 +164,46 @@ def irreducible_form_count(n: int, p: int) -> int:
 @lru_cache(maxsize=4096)
 def factor_count_distribution(n: int, p: int) -> tuple[int, ...]:
     """|I_p(m)| for m = 0..n: nonzero binary n-ic forms over F_p with m
-    distinct irreducible binary factors.  Exact multiset count: choose
-    distinct irreducibles per degree with multiplicities."""
+    distinct irreducible binary factors.
+
+    Each entry is a polynomial in p of degree at most n + 1, evaluated here
+    from its Newton forward differences at 1 as sum_k D^k * C(p - 1, k).
+    Proof of polynomiality: the count is (p - 1) times a sum, over the ways
+    to split the degree n among distinct irreducibles of each degree d with
+    multiplicities, of products of comb(A_d, j) and comb(s - 1, j - 1)
+    (`_factor_count_dp`).  A_1 = p + 1 (the points of the projective line)
+    and A_d = (1/d) sum_(e | d) moebius(e) p^(d/e) for d >= 2 (Moebius
+    inversion) are polynomials in p of degree d, and comb(A, j) is the
+    polynomial A (A - 1) ... (A - j + 1) / j! in A of degree j, so a term
+    that takes j distinct irreducibles of degree d has degree d * j in p,
+    and the degrees of all factors of one term sum to at most n.  Every A_d
+    is a nonnegative integer at each integer q >= 1 (it counts aperiodic
+    necklaces of length d on q letters; A_d(1) = 0 for d >= 2), where
+    math.comb therefore agrees with the polynomial, so the DP run at
+    q = 1..n + 2 gives n + 2 values of a polynomial of degree <= n + 1."""
+    binom = [math.comb(p - 1, k) for k in range(n + 2)]
+    return tuple(sum(d * b for d, b in zip(diffs, binom)) for diffs in _forward_differences(n))
+
+
+@lru_cache(maxsize=64)
+def _forward_differences(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per m, the Newton forward differences D^0..D^(n+1) at q = 1 of
+    |I_q(m)| as a polynomial in q (see factor_count_distribution)."""
+    values = [_factor_count_dp(n, q) for q in range(1, n + 3)]
+    table = []
+    for m in range(n + 1):
+        col, diffs = [v[m] for v in values], []
+        while col:
+            diffs.append(col[0])
+            col = [b - a for a, b in zip(col, col[1:])]
+        table.append(tuple(diffs))
+    return tuple(table)
+
+
+def _factor_count_dp(n: int, p: int) -> tuple[int, ...]:
+    """factor_count_distribution(n, p) at one integer p >= 1 by the exact
+    multiset count: choose distinct irreducibles per degree with
+    multiplicities."""
     A = {1: p + 1}
     for d in range(2, n + 1):
         A[d] = monic_irreducible_count(d, p)
@@ -266,12 +304,10 @@ def two_adic_factor(n: int) -> Fraction:
 
 def finite_prime_factor(n: int, p: int) -> Fraction:
     """sum_m min(1, (p+1)/2^(m-1)) mu(I_p(m)), clamped to <= 1; exact."""
-    mup = factor_count_distribution(n, p)
-    total = p ** (n + 1)
-    acc = Fraction(0)
-    for m in range(1, n + 1):
-        acc += min(Fraction(1), Fraction(p + 1, 2 ** (m - 1))) * Fraction(mup[m], total)
-    return min(acc, Fraction(1))
+    counts = factor_count_distribution(n, p)
+    # 2^(n-1) times the weight min(1, (p+1)/2^(m-1)) is an integer for m <= n
+    acc = sum(min(2 ** (n - 1), (p + 1) * 2 ** (n - m)) * counts[m] for m in range(1, n + 1))
+    return min(Fraction(acc, 2 ** (n - 1) * p ** (n + 1)), Fraction(1))
 
 
 def density_bound(

@@ -2,21 +2,62 @@
 
 Each row of a batch leaves at the first of three stages that decides it:
 
-1. Float Sturm filter (degree <= FLOAT_FILTER_MAX_DEGREE).  The classical
-   Sturm chain runs in float64 across the batch, carrying rigorous
-   per-coefficient error bounds; a row is accepted only when every chain
-   sign is certified (|value| > 8 * bound).
-2. Disc certificate (`_disc_certify`, every degree).  Weierstrass inclusion
-   discs around the eigenvalues of the companion matrix (Braess & Hadeler,
-   Numer. Math. 21, 1973; Carstensen, Numer. Math. 59, 1991): a row is
-   accepted only when its discs provably isolate every root and place each
-   one on or off the real axis.
+1. Descartes stage (`_descartes_certify`, every degree, int64).  Descartes'
+   rule of signs on the Moebius images of four half-lines, each bisected
+   once where needed: one level of the Vincent-Collins-Akritas scheme
+   (Collins & Akritas, SYMSAC 1976; Rouillier & Zimmermann, J. Comput.
+   Appl. Math. 162, 2004), in exact integer arithmetic.
+2. Disc certificate (`_disc_certify`, every degree, float64).  Weierstrass
+   inclusion discs around the eigenvalues of the companion matrix (Braess &
+   Hadeler, Numer. Math. 21, 1973; Carstensen, Numer. Math. 59, 1991): a
+   row is accepted only when its discs provably isolate every root and
+   place each one on or off the real axis.
 3. Exact path: the integer subresultant Sturm chain (`intpoly`).
 
-Rows with a coefficient of absolute value 2^53 or more skip both float
-stages, because their cast to float64 may be inexact.  A float stage accepts a row only
-with a proof that its count equals the exact one, so the classification is
-exact for every row; floats only filter.
+Rows outside the overflow guard below skip the Descartes stage, and rows
+with a coefficient of absolute value 2^53 or more skip the disc stage,
+because their cast to float64 may be inexact.  Each of the first two stages
+accepts a row only with a proof that its count equals the exact one, so the
+classification is exact for every row; the one float stage only filters.
+
+Why the Descartes counts are exact.  Let p(x) = sum_k p_k x^(n-k).  A map
+x = (a t + b) / (c t + d) with ad - bc != 0 and c t + d > 0 for t > 0 is a
+smooth bijection with nonzero derivative from (0, inf) onto an open
+interval I, so the image q(t) = (c t + d)^n p(x(t)) =
+sum_k p_k (a t + b)^(n-k) (c t + d)^k has a root t > 0 of multiplicity e
+exactly when p has the root x(t) in I with multiplicity e.  The constant
+coefficient of q is d^n p(b/d) and its leading coefficient c^n p(a/c), or
+a^n p_0 when c = 0: p at the endpoints of I.  By Descartes' rule of signs
+the number of positive roots of q, with multiplicity, is V - 2j for some
+j >= 0, where V is the number of sign changes between consecutive nonzero
+coefficients of q.  So V = 0 means that p has no root in I, and V = 1 that
+it has exactly one, a simple one.  The stage counts sign changes with each
+zero coefficient taken as negative, which, when the constant and leading
+coefficients are nonzero, gives V + 2i for some i >= 0: zeros between two
+positive coefficients add two changes, zeros anywhere else none.  So a
+count of 0 or 1 is V.
+
+The stage maps (0, inf) onto (1, inf), (0, 1), (-1, 0) and (-inf, -1) by
+t + 1, 1/(t + 1), -1/(t + 1) and -(t + 1).  A half-line whose image has
+V >= 2 is bisected once, at 2, 1/2, -1/2 or -2, and its two halves get
+images of their own.  A row is accepted when p vanishes at none of 0, +-1,
++-1/2 and +-2, that is when the four half-line images have nonzero
+constant and leading coefficients and 2^n p(1/2), 2^n p(-1/2), p(2) and
+p(-2) are nonzero (the halves then have nonzero end coefficients too), and
+when every image it uses has a count of 0 or 1.  The real line is the
+disjoint union of the open intervals of the images used and of points
+where p is nonzero, so the number of real roots of p is the sum of the V.
+Each of these roots is simple, so the sum is also the number of distinct
+real roots, which is what the batch counts for a row that is not
+squarefree (its multiple roots, if any, are not real).
+
+Overflow.  For every map used, |a| + |b| <= 4 and |c| + |d| <= 4, so every
+coefficient of (a t + b)^(n-k) (c t + d)^k has absolute value at most 4^n,
+as does every |b^(n-k) d^k| of the four values; every partial sum of an
+image coefficient sum_k p_k M[k, j], in any order, is therefore at most
+4^n ||p||_1 in absolute value.  Only rows with 4^n ||p||_1 < 2^63 enter the
+stage (none at n >= 32), so its int64 arithmetic never wraps; a second level
+of bisection would need 8^n ||p||_1 < 2^63 and is not done.
 
 Why the discs are a proof.  Let p = a * prod_j (x - zeta_j) have degree n
 and let z_1, ..., z_n be distinct complex numbers (any numbers: the proof
@@ -75,18 +116,27 @@ sections 2.1-2.2).  The bounds, in the order `_disc_certify` computes them:
   is not certified.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import intpoly
 
-_EPS = np.finfo(np.float64).eps
-# beyond this degree the float chain certifies almost nothing and is skipped
-FLOAT_FILTER_MAX_DEGREE = 16
-_FLOAT_EXACT = 2.0**53
-# rows per float-stage block and entries per disc-stage chunk: both keep the
-# float temporaries of a batch to a few MB however many rows it has
-FLOAT_BLOCK = 1 << 14
+_FLOAT_EXACT = 1 << 53
+# int64 image entries per Descartes chunk and float64 entries per disc
+# chunk: both keep a batch's temporaries to a few MB however many rows it has
 DISC_CHUNK_ENTRIES = 1 << 17
+# maps x = (a t + b) / (c t + d) of (0, inf) onto the half-lines (1, inf),
+# (0, 1), (-1, 0), (-inf, -1), then onto the two halves of each of them
+_HALF_LINES = ((1, 1, 0, 1), (0, 1, 1, 1), (0, -1, 1, 1), (-1, -1, 0, 1))
+_HALVES = (
+    ((2, 1, 1, 1), (1, 2, 0, 1)),
+    ((0, 1, 2, 2), (1, 1, 2, 1)),
+    ((0, -1, 2, 2), (-1, -1, 2, 1)),
+    ((-2, -1, 1, 1), (-1, -2, 0, 1)),
+)
+# (b, d) for the values d^n p(b/d) at the bisection points 1/2, -1/2, 2, -2
+_SPLIT_POINTS = ((1, 2), (-1, 2), (2, 1), (-2, 1))
 # u, tau and the least partial product of the module docstring's bounds
 _U = 2.0**-53
 _TAU = 2.0**-1000
@@ -102,34 +152,88 @@ def count_real_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     out = np.empty(S, np.int64)
     done = np.zeros(S, bool)
     if S >= 64 and n >= 1:
-        for start in range(0, S, FLOAT_BLOCK):
-            block = slice(start, start + FLOAT_BLOCK)
-            _float_counts(coeffs[block], out[block], done[block])
+        if n <= 31:  # from n = 32 on, 4^n ||p||_1 >= 2^64: no row passes the guard
+            step = max(1, DISC_CHUNK_ENTRIES // (4 * n1 + 4))
+            for start in range(0, S, step):
+                idx, C = _descartes_rows(coeffs[start : start + step])
+                counts, ok = _descartes_certify(C)
+                idx += start
+                out[idx[ok]] = counts[ok]
+                done[idx[ok]] = True
+        todo = np.flatnonzero(~done & ((coeffs > -_FLOAT_EXACT) & (coeffs < _FLOAT_EXACT)).all(axis=1))
+        step = max(1, DISC_CHUNK_ENTRIES // (n * n))
+        for start in range(0, len(todo), step):
+            idx = todo[start : start + step]
+            counts, ok = _disc_certify(coeffs[idx].astype(np.float64))
+            out[idx[ok]] = counts[ok]
+            done[idx[ok]] = True
     for i in np.flatnonzero(~done):
         out[i] = _exact_count(coeffs[i].tolist())
     return out
 
 
-def _float_counts(coeffs: np.ndarray, out: np.ndarray, done: np.ndarray) -> None:
-    """Run both float stages on a block of rows, writing each certified count
-    into `out` and marking it in `done` (views into the batch's arrays)."""
+def _descartes_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, int64 rows) of the rows of an integer array of degree
+    1 <= n <= 31 with 4^n ||p||_1 < 2^63, the overflow guard of the
+    Descartes stage."""
     n = coeffs.shape[1] - 1
-    C = coeffs.astype(np.float64)
-    # integers below 2^53 in absolute value cast exactly; the others round
-    # to 2^53 or beyond
-    todo = np.flatnonzero(((C > -_FLOAT_EXACT) & (C < _FLOAT_EXACT)).all(axis=1))
-    C = C[todo]
-    if n <= FLOAT_FILTER_MAX_DEGREE:
-        counts, ok = _float_sturm_batch(C)
-        out[todo[ok]] = counts[ok]
-        done[todo[ok]] = True
-        todo, C = todo[~ok], C[~ok]
-    step = max(1, DISC_CHUNK_ENTRIES // (n * n))
-    for start in range(0, len(todo), step):
-        idx = todo[start : start + step]
-        counts, ok = _disc_certify(C[start : start + step])
-        out[idx[ok]] = counts[ok]
-        done[idx[ok]] = True
+    bound = 1 << (63 - 2 * n)
+    # with every entry below the bound, the int64 1-norm cannot overflow:
+    # (n + 1) * bound <= 2^63 for n >= 1
+    idx = np.flatnonzero(((coeffs > -bound) & (coeffs < bound)).all(axis=1))
+    C = coeffs[idx].astype(np.int64)
+    keep = np.abs(C).sum(axis=1) < bound
+    return idx[keep], C[keep]
+
+
+def _descartes_certify(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, certified) for the rows of the int64 array C, each within
+    the overflow guard of `_descartes_rows`; see the module docstring for
+    the proof behind `certified`."""
+    S, n1 = C.shape
+    first, halves = _mobius_matrices(n1 - 1)
+    Q = C @ first
+    images = Q[:, : 4 * n1].reshape(S, 4, n1)
+    ok = (images[:, :, [0, -1]] != 0).all(axis=(1, 2)) & (Q[:, 4 * n1 :] != 0).all(axis=1)
+    V = _sign_variations(images)
+    counts = np.where(V < 2, V, 0).sum(axis=1)
+    for h, M in enumerate(halves):
+        rows = np.flatnonzero(ok & (V[:, h] >= 2))
+        if len(rows):
+            W = _sign_variations((C[rows] @ M).reshape(len(rows), 2, n1))
+            ok[rows] = (W < 2).all(axis=1)
+            counts[rows] += W.sum(axis=1)
+    return counts, ok
+
+
+def _sign_variations(Q: np.ndarray) -> np.ndarray:
+    """Sign changes along the last axis, a zero taken as negative (module
+    docstring)."""
+    pos = Q > 0
+    return np.count_nonzero(pos[..., 1:] != pos[..., :-1], axis=-1)
+
+
+@lru_cache(maxsize=64)
+def _mobius_matrices(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """int64 matrices taking a row p to its images (module docstring): the
+    four half-line images followed by the four values at the bisection
+    points, an (n+1) x (4n+8) matrix, and for each half-line the images of
+    its two halves, (n+1) x (2n+2)."""
+
+    def image(a, b, c, d):
+        up = [np.ones(1, np.int64)]
+        down = [np.ones(1, np.int64)]
+        for _ in range(n):
+            up.append(np.convolve(up[-1], [a, b]))
+            down.append(np.convolve(down[-1], [c, d]))
+        return np.array([np.convolve(up[n - k], down[k]) for k in range(n + 1)], dtype=np.int64)
+
+    points = np.array([[b ** (n - k) * d**k for b, d in _SPLIT_POINTS] for k in range(n + 1)], dtype=np.int64)
+    first = np.hstack([image(*m) for m in _HALF_LINES] + [points])
+    halves = tuple(np.hstack([image(*m) for m in pair]) for pair in _HALVES)
+    for M in (first, *halves):
+        M.flags.writeable = False  # shared by every caller through the cache
+    return first, halves
 
 
 def _exact_count(row: list) -> int:
@@ -198,76 +302,3 @@ def _value_bound(C: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         err = rho * (err + _U * size) + _U * (np.abs(re) + new_size) + _TAU
         size = new_size
     return (size + err) * (1 + 16 * (n + 1) * _U)
-
-
-def _float_sturm_batch(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(counts, certified) for the batch; rows are normalized by powers of two
-    (exact in binary floating point) and errors propagated to first order
-    with safety factors."""
-    S, n1 = C.shape
-    n = n1 - 1
-    with np.errstate(all="ignore"):
-
-        def norm2(P, E):
-            m = np.max(np.abs(P), axis=1, keepdims=True)
-            m = np.where((m > 0) & np.isfinite(m), m, 1.0)
-            sc = np.exp2(-np.ceil(np.log2(m)))
-            return P * sc, E * sc
-
-        P0, E0 = norm2(C, np.zeros_like(C))
-        der = np.arange(n, 0, -1, dtype=np.float64)[None, :]
-        P1 = P0[:, :-1] * der
-        E1 = E0[:, :-1] * der + _EPS * np.abs(P1)
-        P1, E1 = norm2(P1, E1)
-        ok = np.ones(S, bool)
-        heads = [(P0[:, 0], E0[:, 0], n), (P1[:, 0], E1[:, 0], n - 1)]
-        A, EA, B, EB = P0, E0, P1, E1
-        for db in range(n - 1, 0, -1):
-            b0, Eb0 = B[:, 0], EB[:, 0]
-            good = np.abs(b0) > 8 * Eb0
-            ok &= good
-            b0s = np.where(good, b0, 1.0)
-            denom = np.maximum(np.abs(b0s) - Eb0, 1e-290)
-            q1 = A[:, 0] / b0s
-            Eq1 = (EA[:, 0] + np.abs(q1) * Eb0) / denom + _EPS * np.abs(q1)
-            # step 1: T[j] = A[j+1] - q1*B[j+1] for j < db; T[db] = A[db+1]
-            T = A[:, 1:].copy()
-            ET = EA[:, 1:].copy()
-            T[:, :db] -= q1[:, None] * B[:, 1:]
-            ET[:, :db] += (
-                np.abs(q1[:, None]) * EB[:, 1:]
-                + np.abs(B[:, 1:]) * Eq1[:, None]
-                + Eq1[:, None] * EB[:, 1:]
-                + _EPS * np.abs(T[:, :db])
-            )
-            q0 = T[:, 0] / b0s
-            Eq0 = (ET[:, 0] + np.abs(q0) * Eb0) / denom + _EPS * np.abs(q0)
-            R = T[:, 1:] - q0[:, None] * B[:, 1:]
-            ER = (
-                ET[:, 1:]
-                + np.abs(q0[:, None]) * EB[:, 1:]
-                + np.abs(B[:, 1:]) * Eq0[:, None]
-                + Eq0[:, None] * EB[:, 1:]
-                + _EPS * np.abs(R)
-            )
-            Rn = -R
-            ERn = ER * (1 + 8 * _EPS)
-            Rn, ERn = norm2(Rn, ERn)
-            bad = ~np.isfinite(Rn).all(axis=1) | ~np.isfinite(ERn).all(axis=1)
-            ok &= ~bad
-            Rn[bad] = 1.0
-            ERn[bad] = 0.0
-            heads.append((Rn[:, 0], ERn[:, 0], db - 1))
-            A, EA, B, EB = B, EB, Rn, ERn
-        Vp = np.zeros(S, np.int64)
-        Vm = np.zeros(S, np.int64)
-        prev_p = prev_m = None
-        for v, e, d in heads:
-            ok &= np.abs(v) > 8 * e
-            sp = v > 0
-            sm = sp if d % 2 == 0 else ~sp
-            if prev_p is not None:
-                Vp += sp != prev_p
-                Vm += sm != prev_m
-            prev_p, prev_m = sp, sm
-    return Vm - Vp, ok

@@ -63,6 +63,26 @@ def test_mu_p_enumeration_matches_combinatorial_count():
         assert D.mu_p_distribution(n, p) == dp, (n, p)
 
 
+def test_closed_form_matches_dp():
+    # the Newton form of each entry against the DP it was built from, at
+    # every odd p <= 1000 (primes or not: both sides are polynomials in p)
+    for n in range(2, 23):
+        for p in range(3, 1001, 2):
+            assert D.factor_count_distribution(n, p) == D._factor_count_dp(n, p), (n, p)
+        assert D.factor_count_distribution(n, 2) == D._factor_count_dp(n, 2)
+
+
+def test_finite_prime_factor_matches_fraction_sum():
+    # the integer-weighted sum against the plain Fraction formula
+    for n in (2, 4, 10, 22):
+        for p in (3, 5, 7, 11, 97, 997):
+            counts = D.factor_count_distribution(n, p)
+            want = sum(
+                min(Fraction(1), Fraction(p + 1, 2 ** (m - 1))) * Fraction(counts[m], p ** (n + 1)) for m in range(1, n + 1)
+            )
+            assert D.finite_prime_factor(n, p) == min(want, Fraction(1)), (n, p)
+
+
 def test_irreducible_form_count_calibration():
     for p in (3, 5, 7):
         cnt = D.irreducible_form_count(4, p)

@@ -1,9 +1,12 @@
+import io
+import math
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from pencilorbits import gfpoly, intpoly, numutil
+from pencilorbits import cli, gfpoly, intpoly, numutil
 
 
 def fraction_det(M):
@@ -102,6 +105,62 @@ def test_is_prime_rejects_psi_12_and_psi_13():
     assert numutil.factorize(PSI_13) == {1287836182261: 1, 2575672364521: 1}
     for q in (399165290221, 798330580441, 1287836182261, 2575672364521):
         assert numutil.is_prime(q)
+
+
+def _floyd_rho(n, rng):
+    """Oracle: Pollard's rho with Floyd's cycle search and one gcd per step,
+    the splitting step factorize used before Brent's batched variant."""
+    while True:
+        c = rng.randrange(1, n)
+        x = y = rng.randrange(0, n)
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(abs(x - y), n)
+        if d != n:
+            return d
+
+
+COMPOSITES = {
+    561: {3: 1, 11: 1, 17: 1},
+    600851475143: {71: 1, 839: 1, 1471: 1, 6857: 1},
+    65537**3: {65537: 3},
+    3**20 * 1000003**2: {3: 20, 1000003: 2},
+    999983 * 1000003 * 1000033: {999983: 1, 1000003: 1, 1000033: 1},
+    10**18 + 1: {101: 1, 9901: 1, 999999000001: 1},
+    2**64 + 1: {274177: 1, 67280421310721: 1},
+    3 * (2**64 + 1): {3: 1, 274177: 1, 67280421310721: 1},
+    2**67 - 1: {193707721: 1, 761838257287: 1},
+    (2**31 - 1) * (2**61 - 1): {2147483647: 1, 2305843009213693951: 1},
+    PSI_12: {399165290221: 1, 798330580441: 1},
+}
+
+
+def test_factorize_fixed_composites(monkeypatch):
+    for n, want in COMPOSITES.items():
+        assert math.prod(p**e for p, e in want.items()) == n
+        assert all(numutil.is_prime(p) for p in want)
+        assert numutil.factorize(n) == want
+    # the Floyd oracle gives the same dicts (psi_12, which takes it seconds,
+    # is checked above against its known factors)
+    monkeypatch.setattr(numutil, "_pollard_rho", _floyd_rho)
+    for n, want in COMPOSITES.items():
+        if n != PSI_12:
+            assert numutil.factorize(n) == want
+
+
+def test_survey_stdout_does_not_depend_on_the_rho_variant(monkeypatch):
+    argv = ["survey", "--n", "4", "--height", "1000", "--point-bound", "12", "--count", "60", "--seed", "7"]
+    outs = []
+    for rho in (numutil._pollard_rho, _floyd_rho):
+        monkeypatch.setattr(numutil, "_pollard_rho", rho)
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert cli.run(argv) == 0
+        outs.append(buf.getvalue())
+    assert outs[0] == outs[1] and outs[0].count("\n") >= 60
 
 
 def test_is_prime_matches_sieve():
