@@ -106,11 +106,7 @@ def _cmd_count_fp(args) -> int:
     _require(is_prime(args.p), f"--p must be a prime, got {args.p}")
     f = _parse_form(args.form)
     _require(f.degree == args.n, f"form has degree {f.degree}, expected {args.n}")
-    try:
-        stats = finite_fields.count_pairs_with_form(f, args.p)
-    except finite_fields.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    stats = finite_fields.count_pairs_with_form(f, args.p)
     payload = {
         "p": stats.p,
         "form_mod_p": list(stats.form),
@@ -190,11 +186,7 @@ def _cmd_survey(args) -> int:
     _require(args.count >= 0, "--count must be >= 0")
     _require(args.point_bound >= 0, "--point-bound must be >= 0")
     _require_jobs(args.jobs)
-    try:
-        records, agg = search.survey(args.n, args.height, args.point_bound, args.count, args.seed, jobs=args.jobs)
-    except DescentBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    records, agg = search.survey(args.n, args.height, args.point_bound, args.count, args.seed, jobs=args.jobs)
     if args.csv:
         lines = ["coeffs;genus;locally_soluble;point"]
         for r in records:
@@ -280,7 +272,7 @@ def run(argv: list[str]) -> int:
     except CliValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except DescentBudgetError as exc:
+    except (DescentBudgetError, finite_fields.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     print(f"[{args.command}] elapsed {time.time() - t0:.3f} s", file=sys.stderr)

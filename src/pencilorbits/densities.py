@@ -247,10 +247,9 @@ def mu_8_distribution(n: int) -> tuple[Fraction, ...]:
     """(mu(I_8(m)))_m: binary forms mod 8 whose mod-2 reduction has m distinct
     irreducible factors; forms vanishing mod 2 carry no type.  The type
     depends only on f mod 2 and lifts are uniform, so |I_8(m)| =
-    |I_2(m)| * 4^(n+1), a combinatorial multiset count (the tests check it
+    |I_2(m)| * 4^(n+1) and mu(I_8(m)) = mu(I_2(m)) (the tests check it
     against enumeration of all residues mod 8 for n = 2 and 4)."""
-    counts = factor_count_distribution(n, 2)
-    return tuple(Fraction(c, 2 ** (n + 1)) for c in counts)
+    return mu_p_distribution(n, 2)
 
 
 def mu_8(n: int, m: int) -> Fraction:

@@ -162,7 +162,7 @@ def _binom_pow(u: int, v: int, k: int) -> list[int]:
 
 def real_root_count(f: BinaryForm) -> int:
     """Number of roots of f in P^1(R); a simple root at (1:0) is counted when
-    f0 = 0.  Exact (Sturm); requires Disc(f) != 0."""
+    f0 = 0.  Exact (a Sylvester query on f(x, 1)); requires Disc(f) != 0."""
     coeffs = intpoly.strip(f.univariate())
     if not coeffs:
         raise ValueError("zero form")

@@ -171,131 +171,69 @@ def _h_update(g: int, h: int, delta: int) -> int:
     return q
 
 
-def sturm_chain_signs(p: list) -> list[tuple[int, int]] | None:
-    """(sign, degree) of each element of the classical Sturm chain of p,
-    where sign is the sign of the true leading coefficient.
-
-    Computed with the integer subresultant PRS plus bookkeeping of the sign
-    relating each stored element to the classical chain.  Returns None when
-    the chain terminates early (p not squarefree).
-    """
-    a = strip(list(p))
-    n = len(a) - 1
-    if n <= 0:
-        return [(1 if a[0] > 0 else -1, 0)] if a else None
-    b = strip(derivative(a))
-    out = [(1 if a[0] > 0 else -1, n), (1 if b[0] > 0 else -1, len(b) - 1)]
-    sa, sb = 1, 1
-    for b, r, delta, div, _ in _subresultant_prs(a, b):
-        if not r:
-            return None
-        sr = -((1 if b[0] > 0 else -1) ** (delta + 1)) * sa * (1 if div > 0 else -1)
-        sa, sb = sb, sr
-        out.append(((1 if r[0] > 0 else -1) * sr, len(r) - 1))
-    return out
-
-
-def _variations(signs) -> int:
-    v = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            v += 1
-        prev = s
-    return v
-
-
-def real_root_count_squarefree(p: list) -> int | None:
-    """Number of distinct real roots of the squarefree integer polynomial p,
-    from Sturm-chain signs at -inf and +inf only.  None if not squarefree."""
-    chain = sturm_chain_signs(p)
-    if chain is None:
-        return None
-    plus = [s for s, d in chain]
-    minus = [s if d % 2 == 0 else -s for s, d in chain]
-    return _variations(minus) - _variations(plus)
-
-
-def sturm_chain(p: list) -> list[list]:
-    """Explicit Sturm chain of squarefree p; each element is a positive
-    integer multiple of the classical one, so sign queries are faithful."""
-    a = strip(list(p))
-    if len(a) - 1 <= 0:
-        return [a]
-    chain = [a, strip(derivative(a))]
-    sa, sb = 1, 1
-    for b, r, delta, div, _ in _subresultant_prs(a, chain[1]):
-        if not r:
-            raise ValueError("polynomial is not squarefree")
-        sr = -(_sign(b[0]) ** (delta + 1)) * sa * _sign(div)
-        sa, sb = sb, sr
-        chain.append(neg(r) if sr < 0 else r)
-    return chain
-
-
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def count_roots_between(chain: list[list], lo, hi) -> int:
-    """Number of roots in (lo, hi] from a Sturm chain."""
-    vlo = _variations([_sign(evaluate(c, lo)) for c in chain])
-    vhi = _variations([_sign(evaluate(c, hi)) for c in chain])
-    return vlo - vhi
+def _variations(signs: list) -> int:
+    """Sign changes along a list of nonzero signs."""
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def root_bound(p: list) -> int:
-    """Cauchy bound: every real root lies in (-B, B)."""
-    lead = abs(p[0])
-    rest = max((abs(c) for c in p[1:]), default=0)
-    return 1 + (rest + lead - 1) // lead
+def _sylvester(p: list, q: list) -> tuple[int, int]:
+    """(TaQ(q, p), deg gcd(p, p'q)) for a nonzero stripped integer polynomial
+    p, where the Tarski query TaQ(q, p) is the sum of sign q(x) over the
+    distinct real roots x of p.
+
+    Sylvester's theorem (Basu, Pollack & Roy, Algorithms in Real Algebraic
+    Geometry, ch. 2): TaQ(q, p) is the Cauchy index of p'q/p, which is
+    Var(-inf) - Var(+inf) of the signed remainder sequence of p and p'q.
+    The index depends on p'q only modulo p, so a p'q of degree >= deg p is
+    first replaced by sgn(lc p)^k prem(p'q, p), a positive multiple of its
+    remainder.  The sequence is the subresultant PRS, each element carrying
+    the sign that relates it to the classical one.
+    """
+    b = strip(mul(derivative(p), q))
+    if len(b) >= len(p):
+        k = len(b) - len(p) + 1
+        b = _prem(b, p)
+        if p[0] < 0 and k % 2:
+            b = neg(b)
+    # signs at +inf and degrees of the classical sequence
+    plus, degrees = [_sign(p[0])], [len(p) - 1]
+    if b:
+        plus.append(_sign(b[0]))
+        degrees.append(len(b) - 1)
+        sa, sb = 1, 1
+        for d, r, delta, div, _ in _subresultant_prs(p, b):
+            if not r:
+                break
+            # r is sr times a positive multiple of the classical element
+            sr = -(_sign(d[0]) ** (delta + 1)) * sa * _sign(div)
+            sa, sb = sb, sr
+            plus.append(sr * _sign(r[0]))
+            degrees.append(len(r) - 1)
+    minus = [-s if k % 2 else s for s, k in zip(plus, degrees)]
+    return _variations(minus) - _variations(plus), degrees[-1]
 
 
-def isolate_real_roots(chain: list[list]) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint intervals (lo, hi], each containing exactly one real root of
-    the squarefree integer polynomial chain[0], sorted increasingly; chain is
-    its Sturm chain."""
-    B = root_bound(chain[0])
-    lo0, hi0 = Fraction(-B), Fraction(B)
-    total = count_roots_between(chain, lo0, hi0)
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo0, hi0, total)]
-    while stack:
-        lo, hi, k = stack.pop()
-        if k == 0:
-            continue
-        if k == 1:
-            out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        kl = count_roots_between(chain, lo, mid)
-        stack.append((lo, mid, kl))
-        stack.append((mid, hi, k - kl))
-    out.sort()
-    return out
+def tarski_query(p: list, q: list) -> int:
+    """Sum of sign q(x) over the distinct real roots x of the nonzero
+    integer polynomial p (so tarski_query(p, [1]) counts them)."""
+    a = strip(list(p))
+    if not a:
+        raise ValueError("the zero polynomial has no finite root set")
+    return _sylvester(a, strip(list(q)))[0]
 
 
-def sign_at_root(chain: list[list], interval: tuple, q: list, qchain: list[list]) -> int:
-    """Sign of q at the unique root of chain[0] in the interval, chain being
-    its Sturm chain and qchain the Sturm chain of squarefree_part(q), which
-    a caller asking about several roots builds once.
-
-    Requires that q does not vanish at that root (e.g. gcd(chain[0], q) = 1)."""
-    lo, hi = interval
-    while True:
-        if count_roots_between(qchain, lo, hi) == 0:
-            v = evaluate(q, hi)
-            if v != 0:
-                return _sign(v)
-            # root of p sits exactly at hi yet q(hi) = 0 contradicts gcd = 1;
-            # shrink instead
-        mid = (lo + hi) / 2
-        if count_roots_between(chain, lo, mid) == 1:
-            lo, hi = lo, mid
-        else:
-            lo, hi = mid, hi
+def real_root_count_squarefree(p: list) -> int | None:
+    """Number of distinct real roots of the squarefree integer polynomial p,
+    from one Sylvester query.  None if p is zero or not squarefree."""
+    a = strip(list(p))
+    if not a:
+        return None
+    count, gcd_degree = _sylvester(a, [1])
+    return count if gcd_degree == 0 else None
 
 
 def squarefree_part(p: list) -> list:

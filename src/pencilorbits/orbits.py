@@ -201,34 +201,39 @@ def _target_module_basis(f: BinaryForm) -> list[AlgebraElement]:
     return list(rings.ideal_power_basis(f, n - 3).basis)
 
 
-def verify_pair_data(I: BasedIdeal, alpha: AlgebraElement) -> tuple[bool, list[str]]:
-    """Check the pair-data conditions: I^2 inside alpha*I_f^(n-3) (every
-    b_i b_j / alpha integral on the natural basis) and the norm equation
-    N(I)^2 = N(alpha) N(I_f^(n-3)) up to sign."""
+def _pair_data(I: BasedIdeal, alpha: AlgebraElement) -> tuple[list[str], dict]:
+    """(diagnostics, expansions): the failed pair-data conditions, and the
+    coordinates of b_i b_j / alpha on the natural I_f^(n-3) basis keyed by
+    (i, j) with i <= j (empty when Disc(f) = 0)."""
     f = I.form
     n = f.degree
-    diagnostics: list[str] = []
     if f.disc == 0:
-        return False, ["Disc(f) = 0"]
-    target = _target_module_basis(f)
-    target_ideal = BasedIdeal(f, tuple(target))
+        return ["Disc(f) = 0"], {}
+    target = BasedIdeal(f, tuple(_target_module_basis(f)))
     alpha_inv = alpha.inverse()
-    ok = True
+    diagnostics: list[str] = []
+    expansions = {}
     for i, bi in enumerate(I.basis):
         for j in range(i, n):
             prod = rings.algebra_mul(rings.algebra_mul(bi, I.basis[j]), alpha_inv)
-            coords = rings.expansion_in_basis(target_ideal, prod)
+            expansions[i, j] = coords = rings.expansion_in_basis(target, prod)
             if any(c.denominator != 1 for c in coords):
-                ok = False
                 diagnostics.append(f"b_{i} b_{j} / alpha is not integral on the I_f^(n-3) basis")
     nI = rings.ideal_norm(I)
     nalpha = rings.algebra_norm(alpha)
     ntarget = Fraction(1, f.coeffs[0] ** (n - 3)) if n >= 4 else Fraction(f.coeffs[0])
     ntarget = abs(ntarget)
     if nI**2 != abs(nalpha) * ntarget:
-        ok = False
         diagnostics.append(f"norm equation fails: N(I)^2 = {nI**2}, |N(alpha) N(I^(n-3))| = {abs(nalpha) * ntarget}")
-    return ok, diagnostics
+    return diagnostics, expansions
+
+
+def verify_pair_data(I: BasedIdeal, alpha: AlgebraElement) -> tuple[bool, list[str]]:
+    """Check the pair-data conditions: I^2 inside alpha*I_f^(n-3) (every
+    b_i b_j / alpha integral on the natural basis) and the norm equation
+    N(I)^2 = N(alpha) N(I_f^(n-3)) up to sign."""
+    diagnostics, _ = _pair_data(I, alpha)
+    return not diagnostics, diagnostics
 
 
 def pair_from_ideal(I: BasedIdeal, alpha: AlgebraElement) -> SymmetricPair:
@@ -237,19 +242,14 @@ def pair_from_ideal(I: BasedIdeal, alpha: AlgebraElement) -> SymmetricPair:
     the (A, B) assignment and signs are fixed by the determinant identity."""
     f = I.form
     n = f.degree
-    ok, diag = verify_pair_data(I, alpha)
-    if not ok:
-        raise ValueError("invalid pair data: " + "; ".join(diag))
-    target = BasedIdeal(f, tuple(_target_module_basis(f)))
-    alpha_inv = alpha.inverse()
+    diagnostics, expansions = _pair_data(I, alpha)
+    if diagnostics:
+        raise ValueError("invalid pair data: " + "; ".join(diagnostics))
     P = [[0] * n for _ in range(n)]  # zeta_(n-2) slot
     Q = [[0] * n for _ in range(n)]  # zeta_(n-1) slot
-    for i in range(n):
-        for j in range(i, n):
-            prod = rings.algebra_mul(rings.algebra_mul(I.basis[i], I.basis[j]), alpha_inv)
-            coords = rings.expansion_in_basis(target, prod)
-            P[i][j] = P[j][i] = int(coords[n - 2])
-            Q[i][j] = Q[j][i] = int(coords[n - 1])
+    for (i, j), coords in expansions.items():
+        P[i][j] = P[j][i] = int(coords[n - 2])
+        Q[i][j] = Q[j][i] = int(coords[n - 1])
     Pt = tuple(tuple(r) for r in P)
     Qt = tuple(tuple(r) for r in Q)
     negP = tuple(tuple(-x for x in r) for r in Pt)

@@ -12,7 +12,9 @@ Each row of a batch leaves at the first of three stages that decides it:
    Hadeler, Numer. Math. 21, 1973; Carstensen, Numer. Math. 59, 1991): a
    row is accepted only when its discs provably isolate every root and
    place each one on or off the real axis.
-3. Exact path: the integer subresultant Sturm chain (`intpoly`).
+3. Exact path: the Sylvester query `intpoly.tarski_query(row, [1])`, one
+   integer signed remainder sequence, which counts the distinct real roots
+   of any row, squarefree or not.
 
 Rows outside the overflow guard below skip the Descartes stage, and rows
 with a coefficient of absolute value 2^53 or more skip the disc stage,
@@ -145,8 +147,8 @@ _MIN_NORMAL = 2.0**-1021
 
 def count_real_roots_batch(coeffs: np.ndarray) -> np.ndarray:
     """Distinct real roots for each row of an (S, n+1) integer array with
-    nonzero leading column.  Rows whose polynomial is not squarefree are
-    counted by their squarefree part."""
+    nonzero leading column.  A row whose polynomial is not squarefree counts
+    each multiple real root once."""
     S, n1 = coeffs.shape
     n = n1 - 1
     out = np.empty(S, np.int64)
@@ -237,13 +239,7 @@ def _mobius_matrices(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 
 
 def _exact_count(row: list) -> int:
-    row = [int(c) for c in row]
-    cnt = intpoly.real_root_count_squarefree(row)
-    if cnt is None:
-        cnt = intpoly.real_root_count_squarefree(intpoly.squarefree_part(row))
-        if cnt is None:
-            raise ArithmeticError("squarefree part has a repeated factor")
-    return cnt
+    return intpoly.tarski_query([int(c) for c in row], [1])
 
 
 def _disc_certify(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

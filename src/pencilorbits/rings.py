@@ -454,18 +454,17 @@ def norm_linear(f: BinaryForm, a: int, b: int) -> Fraction:
     return Fraction(val, f.coeffs[0])
 
 
-def same_square_class(
-    alpha: AlgebraElement,
-    beta: AlgebraElement,
-    trials: int = 50,
-    seed: int = 0,
-) -> SquareClassVerdict:
+def same_square_class(alpha: AlgebraElement, beta: AlgebraElement, trials: int = 50) -> SquareClassVerdict:
     """One-sided probabilistic square-class test of alpha and beta in K_f^x.
 
-    DISTINCT is certain: witnessed by a real-embedding sign mismatch or a
-    non-square image in a residue field of good reduction.  EQUAL after
-    `trials` consistent witnesses at the smallest odd primes of good
-    reduction is heuristic.  Deterministic for a fixed seed.
+    DISTINCT is certain: witnessed by a real root of f(x, 1) where
+    gamma = alpha*beta is negative (two Tarski queries: TaQ(G, f) < TaQ(1, f)),
+    or by a residue field at a good prime where gamma is not a square.  At
+    each of the `trials` smallest odd primes of good reduction, each
+    distinct-degree product g_d of f mod p is tested once: by the Chinese
+    remainder theorem, gamma^((p^d - 1)/2) = 1 mod g_d iff gamma is a square
+    in every residue field of degree d.  EQUAL after `trials` consistent
+    primes is heuristic.  Deterministic.
     """
     f = alpha.form
     if beta.form != f:
@@ -482,14 +481,9 @@ def same_square_class(
     if res == 0:
         raise ZeroDivisionError("elements must be invertible")
 
-    # real witnesses: gamma must be positive at every real root of f(x,1)
-    chain = intpoly.sturm_chain(intpoly.strip(funiv))
-    intervals = intpoly.isolate_real_roots(chain)
-    if intervals:
-        gchain = intpoly.sturm_chain(intpoly.squarefree_part(G))
-        for interval in intervals:
-            if intpoly.sign_at_root(chain, interval, G, gchain) < 0:
-                return SquareClassVerdict.DISTINCT
+    # real witness: G = D * gamma with D > 0, nonzero at the real roots as res != 0
+    if intpoly.tarski_query(funiv, G) < intpoly.tarski_query(funiv, [1]):
+        return SquareClassVerdict.DISTINCT
 
     bad = abs(f.coeffs[0] * disc * D * res)
     p, used = 1, 0
@@ -498,18 +492,12 @@ def same_square_class(
         if bad % p == 0 or not is_prime(p):
             continue
         used += 1
-        reduced = gfpoly.normalize(funiv, p)
-        _, factors = gfpoly.factor(reduced, p, seed=seed)
-        gmod = gfpoly.normalize(G, p)
+        reduced = gfpoly.gf_monic(gfpoly.normalize(funiv, p), p)
+        if len(gfpoly.gf_gcd(reduced, gfpoly.gf_derivative(reduced, p), p)) > 1:
+            raise ArithmeticError(f"f has a repeated factor mod the good prime {p}")
         dinv = pow(D % p, -1, p)
-        gmod = [c * dinv % p for c in gmod]
-        for h, mult in factors:
-            if mult != 1:
-                raise ArithmeticError(f"f has a repeated factor mod the good prime {p}")
-            d = len(h) - 1
-            w = gfpoly.gf_mod(gmod, h, p)
-            e = (p**d - 1) // 2
-            t = gfpoly.gf_powmod(w, e, h, p)
-            if t != [1]:
+        gmod = [c * dinv % p for c in gfpoly.normalize(G, p)]
+        for d, g in gfpoly.distinct_degree_factorization(reduced, p):
+            if gfpoly.gf_powmod(gmod, (p**d - 1) // 2, g, p) != [1]:
                 return SquareClassVerdict.DISTINCT
     return SquareClassVerdict.EQUAL if used else SquareClassVerdict.INCONCLUSIVE

@@ -73,17 +73,10 @@ _SQUARE_SCAN_BOUND = 1024
 
 def locally_soluble_p(f: BinaryForm, p: int, depth_budget: int | None = None) -> bool:
     """Existence of a primitive Z_p-point on z^2 = f(x, y); Disc(f) != 0.
-
-    Odd p of good reduction above the Hasse-Weil threshold return True
-    immediately; otherwise the residue-disk descent decides exactly."""
+    The residue-disk descent decides exactly."""
     disc = f.disc
     if disc == 0:
         raise ValueError("Disc(f) = 0")
-    g = f.genus
-    if p % 2 == 1 and disc % p != 0 and p > 4 * g * g + 4:
-        # good reduction; enough smooth points once p + 1 - 2g*sqrt(p) > n
-        if p + 1 - 2 * g * (math.isqrt(p) + 1) - f.degree >= 1:
-            return True
     if depth_budget is None:
         vdisc = 0
         d = abs(disc)

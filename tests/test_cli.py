@@ -134,6 +134,7 @@ ARGV_EXIT_CODES = [
     (["count-fp", "--n", "2", "--form", "1,0,1", "--p", "318665857834031151167461"], EXIT_VALIDATION),
     (["survey", "--n", "abc", "--height", "5", "--count", "1"], EXIT_VALIDATION),
     (["count-fp", "--n", "2", "--p", "3"], EXIT_VALIDATION),
+    (["count-fp", "--n", "4", "--p", "3", "--form", "1,0,0,0,1"], EXIT_BUDGET),
 ]
 
 
@@ -146,7 +147,7 @@ def test_cli_exit_codes(argv, expected):
     )
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr
-    if expected == EXIT_VALIDATION:
+    if expected in (EXIT_VALIDATION, EXIT_BUDGET):
         assert proc.stdout == ""
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

@@ -126,19 +126,57 @@ def test_nonsquarefree_detected():
     assert intpoly.squarefree_part(p) in ([1, -2, -3], [-1, 2, 3])
 
 
-def test_isolation_and_sign_at_root():
-    # f = (x - 1)(x + 2)(x - 5)
-    f = intpoly.mul(intpoly.mul([1, -1], [1, 2]), [1, -5])
-    chain = intpoly.sturm_chain(f)
-    ivs = intpoly.isolate_real_roots(chain)
-    assert len(ivs) == 3
-    roots = [-2, 1, 5]
-    qchain = intpoly.sturm_chain([2, -1])
-    for iv, r in zip(ivs, roots):
-        assert iv[0] < r <= iv[1]
-        # sign of q = x - 0.5 at each root
-        expected = 1 if r > 0.5 else -1
-        assert intpoly.sign_at_root(chain, iv, [2, -1], qchain) == expected
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def test_tarski_query_matches_signs_at_integer_roots():
+    # p = lead * prod (x - r)^m * (positive definite quadratics): the real
+    # roots are the integers r, where q is evaluated exactly
+    rnd = random.Random(4)
+    for _ in range(300):
+        roots = [rnd.randint(-6, 6) for _ in range(rnd.randint(0, 5))]
+        p = [rnd.choice([-3, -2, -1, 1, 2, 5])]
+        for r in roots:
+            p = intpoly.mul(p, [1, -r])
+        for _ in range(rnd.randint(0, 2)):
+            b = rnd.randint(-3, 3)
+            p = intpoly.mul(p, [1, b, b * b + rnd.randint(1, 9)])  # x^2 + bx + c, b^2 < 4c
+        q = intpoly.strip([rnd.randint(-9, 9) for _ in range(rnd.randint(0, 14))])
+        want = sum(_sign(intpoly.evaluate(q, r)) for r in set(roots))
+        assert intpoly.tarski_query(p, q) == want, (p, q)
+        assert intpoly.tarski_query(p, [1]) == len(set(roots)), p
+
+
+def test_tarski_query_reduces_high_degree_products():
+    # deg p'q >= deg p with lc(p) < 0: p'q is reduced mod p first, and the
+    # sign correction sgn(lc p)^k is exercised for odd and even k
+    f = intpoly.mul(intpoly.mul([-1, 1], [1, 2]), [1, -5])  # -(x - 1)(x + 2)(x - 5)
+    for q, want in (([2, -1], 1), ([1, 0, 0, -2], -1), ([-1, 0, 0, 0, 3], -1), ([1, 0, 0, 0, 0, 0], 1)):
+        # q = 2x - 1, x^3 - 2, 3 - x^4, x^5 at the roots -2, 1, 5
+        assert intpoly.tarski_query(f, q) == want, q
+        assert intpoly.tarski_query(intpoly.neg(f), q) == want, q
+    # q vanishing at every root of p: p | p'q
+    assert intpoly.tarski_query([-2, 0, 2], [1, 0, -1]) == 0
+    assert intpoly.tarski_query([-2, 0, 2], []) == 0
+    with pytest.raises(ValueError):
+        intpoly.tarski_query([0, 0], [1])
+
+
+def test_tarski_query_with_degree_drops():
+    # signed remainder sequences that drop more than one degree at a time
+    # x^6 - 1 and x^3: p'q = 6x^8 reduces to 6x^2, then the constant 1
+    assert intpoly.tarski_query([1, 0, 0, 0, 0, 0, -1], [1, 0, 0, 0]) == 0
+    assert intpoly.tarski_query([1, 0, 0, 0, 0, 0, -1], [1, 0, 0]) == 2
+    # x^5 - x (roots 0, +-1) against x^4 - 2: -2, -1, -1
+    assert intpoly.tarski_query([1, 0, 0, 0, -1, 0], [1, 0, 0, 0, -2]) == -3
+    # x^4 + 1 has no real root whatever q is
+    assert intpoly.tarski_query([1, 0, 0, 0, 1], [-1, 0, 0, 7]) == 0
+    # (x^2 - 2)^2 (x - 3): distinct roots +-sqrt 2, 3 against x
+    p = intpoly.mul(intpoly.mul([1, 0, -2], [1, 0, -2]), [1, -3])
+    assert intpoly.tarski_query(p, [1, 0]) == 1
+    assert intpoly.tarski_query(p, [1]) == 3
+    assert intpoly.real_root_count_squarefree(p) is None
 
 
 def test_poly_gcd():

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from pencilorbits.forms import BinaryForm, discriminant
-from pencilorbits import rings
+from pencilorbits import gfpoly, intpoly, rings
+from pencilorbits.numutil import is_prime
 from pencilorbits.rings import (
+    AlgebraElement,
     SquareClassVerdict,
     algebra_mul,
     algebra_norm,
@@ -224,16 +227,68 @@ def test_ideal_power_basis_n4_k1_layout():
     assert I.basis[3] == rings.zeta_element(f, 3)
 
 
-def test_same_square_class_builds_each_sturm_chain_once(monkeypatch):
-    # x^6 - 2 has two real roots; gamma = alpha^2 is positive at both, so the
-    # real-witness loop visits both: one chain for f, one for G
-    from pencilorbits import intpoly
-
-    calls = []
-    chain = intpoly.sturm_chain
-    monkeypatch.setattr(intpoly, "sturm_chain", lambda p: calls.append(p) or chain(p))
+def test_same_square_class_real_witness_by_tarski_query():
+    # x^6 - 2 has two real roots +-2^(1/6); theta^2 + 1 is positive at both,
+    # theta - 1 is negative at the negative one only
     f = BinaryForm((1, 0, 0, 0, 0, 0, -2))
     th = element_theta(f)
     alpha = algebra_mul(th, th) + 1
     assert same_square_class(alpha, alpha, trials=3) == SquareClassVerdict.EQUAL
-    assert len(calls) == 2
+    beta = th - 1
+    assert intpoly.tarski_query(f.univariate(), [1, -1]) == 0
+    assert same_square_class(rings.element_one(f), beta, trials=0) == SquareClassVerdict.DISTINCT
+
+
+def test_same_square_class_witness_inside_one_ddf_class():
+    # f = (x^2 + 1)(x^2 + 2) has no real root; 3 and 5 divide Res(f, 2x + 1)
+    # = 45, so 7 is the first good prime, where f is a product of two
+    # irreducible quadratics in one distinct-degree class.  gamma = 2 theta + 1
+    # is a non-square mod x^2 + 1 only.
+    f = BinaryForm((1, 0, 3, 0, 2))
+    gamma = linear_element(f, 2, 1)
+    assert gfpoly.distinct_degree_factorization([1, 0, 3, 0, 2], 7) == [(2, [1, 0, 3, 0, 2])]
+    assert gfpoly.gf_powmod([2, 1], 24, [1, 0, 1], 7) != [1]
+    assert gfpoly.gf_powmod([2, 1], 24, [1, 0, 2], 7) == [1]
+    assert same_square_class(rings.element_one(f), gamma, trials=1) == SquareClassVerdict.DISTINCT
+
+
+def _reference_residue_verdict(alpha, beta, trials):
+    """Per-irreducible-factor residue test with gfpoly.factor, for forms
+    without real roots (where no real witness exists)."""
+    f = alpha.form
+    G, D = algebra_mul(alpha, beta).numerator_poly()
+    bad = abs(f.coeffs[0] * f.disc * D * intpoly.resultant(f.univariate(), G))
+    primes = [p for p in range(3, 10_000, 2) if bad % p and is_prime(p)][:trials]
+    for p in primes:
+        w = [c * pow(D, -1, p) % p for c in gfpoly.normalize(G, p)]
+        for h, _ in gfpoly.factor(f.univariate(), p)[1]:
+            if gfpoly.gf_powmod(w, (p ** (len(h) - 1) - 1) // 2, h, p) != [1]:
+                return SquareClassVerdict.DISTINCT
+    return SquareClassVerdict.EQUAL
+
+
+def test_same_square_class_matches_per_factor_reference():
+    # f a product of positive definite quadratics, so factors of equal degree
+    # mod p are common; beta is a square times alpha in a third of the cases
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(60):
+        c = [1]
+        for _ in range(rng.choice([2, 3])):
+            b = rng.randint(-3, 3)
+            c = intpoly.mul(c, [rng.randint(1, 2), b, b * b + rng.randint(1, 6)])
+        f = BinaryForm(tuple(c))
+        if f.disc == 0:
+            continue
+        n = f.degree
+        alpha = AlgebraElement(f, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)))
+        beta = AlgebraElement(f, tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)))
+        if rng.random() < 0.35:
+            beta = algebra_mul(algebra_mul(beta, beta), alpha)
+        G, _ = algebra_mul(alpha, beta).numerator_poly()
+        if not G or intpoly.resultant(f.univariate(), G) == 0:
+            continue
+        want = _reference_residue_verdict(alpha, beta, 8)
+        assert same_square_class(alpha, beta, trials=8) == want, (f, alpha, beta)
+        seen.add(want)
+    assert seen == {SquareClassVerdict.EQUAL, SquareClassVerdict.DISTINCT}
