@@ -270,15 +270,26 @@ def det(M):
 
 def solve(A, b) -> list[Fraction]:
     """The exact solution x of A x = b for square nonsingular A (ints or
-    Fractions).  Back-substitution runs on D * x, which is integral by
-    Cramer's rule, D being the determinant of the cleared system."""
-    n = len(b)
-    M = [_integral_row(list(row) + [bi])[0] for row, bi in zip(A, b)]
+    Fractions)."""
+    return solve_columns(A, [b])[0]
+
+
+def solve_columns(A, columns) -> list[list[Fraction]]:
+    """The exact solutions x of A x = b, one per right-hand side b in
+    `columns`, from one elimination of square nonsingular A (ints or
+    Fractions): the columns ride along in the Bareiss pass.
+    Back-substitution runs on D * x, which is integral by Cramer's rule, D
+    being the determinant of the cleared system."""
+    n = len(A)
+    M = [_integral_row(list(row) + [b[i] for b in columns])[0] for i, row in enumerate(A)]
     D = _bareiss(M, n)
     if D == 0:
         raise ValueError("singular system")
-    y = [0] * n
-    for i in reversed(range(n)):
-        acc = D * M[i][n] - sum(M[i][j] * y[j] for j in range(i + 1, n))
-        y[i] = acc // M[i][i]
-    return [Fraction(v, D) for v in y]
+    out = []
+    for c in range(n, n + len(columns)):
+        y = [0] * n
+        for i in reversed(range(n)):
+            acc = D * M[i][c] - sum(M[i][j] * y[j] for j in range(i + 1, n))
+            y[i] = acc // M[i][i]
+        out.append([Fraction(v, D) for v in y])
+    return out

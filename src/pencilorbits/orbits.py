@@ -212,13 +212,12 @@ def _pair_data(I: BasedIdeal, alpha: AlgebraElement) -> tuple[list[str], dict]:
     target = BasedIdeal(f, tuple(_target_module_basis(f)))
     alpha_inv = alpha.inverse()
     diagnostics: list[str] = []
-    expansions = {}
-    for i, bi in enumerate(I.basis):
-        for j in range(i, n):
-            prod = rings.algebra_mul(rings.algebra_mul(bi, I.basis[j]), alpha_inv)
-            expansions[i, j] = coords = rings.expansion_in_basis(target, prod)
-            if any(c.denominator != 1 for c in coords):
-                diagnostics.append(f"b_{i} b_{j} / alpha is not integral on the I_f^(n-3) basis")
+    keys = [(i, j) for i in range(len(I.basis)) for j in range(i, n)]
+    prods = [rings.algebra_mul(rings.algebra_mul(I.basis[i], I.basis[j]), alpha_inv) for i, j in keys]
+    expansions = dict(zip(keys, rings.expansions_in_basis(target, prods)))
+    for (i, j), coords in expansions.items():
+        if any(c.denominator != 1 for c in coords):
+            diagnostics.append(f"b_{i} b_{j} / alpha is not integral on the I_f^(n-3) basis")
     nI = rings.ideal_norm(I)
     nalpha = rings.algebra_norm(alpha)
     ntarget = Fraction(1, f.coeffs[0] ** (n - 3)) if n >= 4 else Fraction(f.coeffs[0])

@@ -18,7 +18,7 @@ from math import gcd, lcm
 
 from . import gfpoly, intpoly
 from .forms import BinaryForm
-from .numutil import det, hnf_rows, is_prime, solve
+from .numutil import det, hnf_rows, is_prime, solve_columns
 
 
 class SquareClassVerdict(enum.Enum):
@@ -434,10 +434,12 @@ def spans_equal(f: BinaryForm, elems_a, elems_b) -> bool:
     return _span_canonical(f, elems_a) == _span_canonical(f, elems_b)
 
 
-def expansion_in_basis(I: BasedIdeal, u: AlgebraElement) -> tuple[Fraction, ...]:
-    """Coordinates of u on the ordered basis of I (exact solve)."""
+def expansions_in_basis(I: BasedIdeal, elements) -> list[tuple[Fraction, ...]]:
+    """Coordinates of each element on the ordered basis of I: the basis is
+    converted once and all elements are solved from one exact elimination."""
     cols = [to_zeta_coords(b) for b in I.basis]
-    return tuple(solve(list(zip(*cols)), to_zeta_coords(u)))
+    rhs = [to_zeta_coords(u) for u in elements]
+    return [tuple(x) for x in solve_columns(list(zip(*cols)), rhs)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,31 @@
 """Rational point search of bounded height and local solubility testing for
 z^2 = f(x, y).
 
+The point search visits the primitive pairs (x, y) of height <= B in a
+fixed order, ring by ring.  When ||f||_1 * B^n < 2^52 every value f(x, y)
+is exact in int64 and in float64, so blocks of candidates are evaluated as
+one int64 product with a cached monomial table and tested for squares by a
+float sqrt checked exactly (r * r == v); the first hit is the answer.  At or
+above the bound the same candidates are tried one by one on Python ints.
+
 Local solubility at an odd prime runs a residue-disk descent: a disk is
 decided as soon as its values have constant valuation and unit class
 (Hensel), and only the residues where the reduction vanishes are refined.
 The number of such residues is bounded by the degree, so the descent stays
-narrow even at very large primes dividing the discriminant; existence of a
-nonzero square value on the generic disks is checked by scanning when p is
-small and is guaranteed by the Weil bound when p exceeds (n + 2)^2.  At
-p = 2 a disk is decided once its values are constant modulo 8 times the
-valuation part.
+narrow even at very large primes dividing the discriminant.  Whether a
+reduction h takes a nonzero square value is checked by scanning when
+p <= max(1024, (deg h + 2)^2); above that the answer is yes unless
+h = c * G^2 (Weil bound), which is tested by taking the square root of
+monic h directly, and then it is whether c is a square.  At p = 2 a disk is
+decided once its values are constant modulo 8 times the valuation part.
 """
 
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from . import gfpoly
 from .forms import BinaryForm, evaluate, random_nondegenerate_form, real_root_count
@@ -26,15 +37,45 @@ class DescentBudgetError(RuntimeError):
     """Descent exceeded its depth budget (reported, never silently wrong)."""
 
 
+# Every value f(x, y) of the int64 kernel is bounded by ||f||_1 B^n; below
+# 2^52 it is exact in int64 and in float64.
+_EXACT_LIMIT = 1 << 52
+# Raw (x, y) pairs per kernel block: memory stays flat in the height bound.
+_BLOCK = 1 << 14
+
+
 def rational_point_search(f: BinaryForm, B: int) -> CurvePoint | None:
     """Smallest primitive point (x0, y0, z0) with |x0|, |y0| <= B on
     z^2 = f(x, y), if any; the points at infinity (1, 0, +-z) are included
-    when f0 is a perfect square.  Exact integer square testing throughout."""
+    when f0 is a perfect square.  Exact integer square testing throughout:
+    in int64 when every value is below 2^52, otherwise on Python ints."""
     if f.disc == 0:
         raise ValueError("Disc(f) = 0")
     z = isqrt_exact(f.coeffs[0])
     if z is not None:
         return CurvePoint(1, 0, z)
+    if B < 1:
+        return None
+    n = f.degree
+    if sum(abs(c) for c in f.coeffs) * B**n >= _EXACT_LIMIT:
+        return _point_search_loop(f, B)
+    coeffs = np.array(f.coeffs, dtype=np.int64)
+    end = 2 * B * (B + 1)  # the height rings 1..B hold 4h pairs each
+    for start in range(0, end, _BLOCK):
+        xy, monomials = _candidate_block(n, start, min(start + _BLOCK, end))
+        values = coeffs @ monomials
+        # |value| <= ||f||_1 B^n < 2^52: exact as a double, and the correctly
+        # rounded sqrt of a square k^2 is k itself
+        roots = np.sqrt(np.abs(values)).astype(np.int64)
+        hit = roots * roots == values
+        k = int(hit.argmax())
+        if hit[k]:
+            return CurvePoint(int(xy[0, k]), int(xy[1, k]), int(roots[k]))
+    return None
+
+
+def _point_search_loop(f: BinaryForm, B: int) -> CurvePoint | None:
+    """The candidates of rational_point_search one by one, on Python ints."""
     for h in range(1, B + 1):
         # primitive pairs with max(|x|, |y|) = h, y > 0 half (points are
         # projective and n is even, so (x, y) ~ (-x, -y))
@@ -59,6 +100,31 @@ def _height_ring(h: int):
     yield h, 0  # primitive only when h = 1; the gcd filter handles it
 
 
+@lru_cache(maxsize=4)  # a survey at a fixed bound B <= 90 reuses one block
+def _candidate_block(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primitive pairs among the raw candidates start..stop - 1 of the
+    concatenated `_height_ring` sequences (ring h starts at 2h(h - 1)), as a
+    (2, K) int64 array, and their monomials x^(n-i) y^i as an (n + 1, K)
+    int64 matrix.  Read-only: the cache hands the same arrays to every call."""
+    g = np.arange(start, stop, dtype=np.int64)
+    h = ((1 + np.sqrt(1 + 2 * g.astype(np.float64))) / 2).astype(np.int64)
+    h -= 2 * h * (h - 1) > g  # exact integer correction of the float estimate
+    h += 2 * (h + 1) * h <= g
+    i = g - 2 * h * (h - 1)
+    top = i <= 2 * h  # (0, h), (1, h), (-1, h), ..., (h, h), (-h, h)
+    j = i - 2 * h - 1  # then (h, h - 1), (-h, h - 1), ..., (h, 1), (-h, 1), (h, 0)
+    x = np.where(top, np.where(i % 2 == 1, 1, -1) * ((i + 1) // 2), np.where(j % 2 == 0, h, -h))
+    y = np.where(top, h, h - 1 - j // 2)
+    keep = np.gcd(x, y) == 1
+    x, y = x[keep], y[keep]
+    monomials = np.empty((n + 1, len(x)), dtype=np.int64)
+    for k in range(n + 1):
+        monomials[k] = x ** (n - k) * y**k
+    xy = np.stack([x, y])
+    xy.flags.writeable = monomials.flags.writeable = False
+    return xy, monomials
+
+
 def locally_soluble_R(f: BinaryForm) -> bool:
     """True iff f is not negative definite (exact, via real root count)."""
     if f.coeffs[0] == 0:
@@ -72,8 +138,11 @@ _SQUARE_SCAN_BOUND = 1024
 
 
 def locally_soluble_p(f: BinaryForm, p: int, depth_budget: int | None = None) -> bool:
-    """Existence of a primitive Z_p-point on z^2 = f(x, y); Disc(f) != 0.
-    The residue-disk descent decides exactly."""
+    """Existence of a primitive Z_p-point on z^2 = f(x, y); Disc(f) != 0 and
+    p must be prime (only p >= 2 is checked).  The residue-disk descent
+    decides exactly."""
+    if p < 2:
+        raise ValueError(f"p = {p} is not a prime")
     disc = f.disc
     if disc == 0:
         raise ValueError("Disc(f) = 0")
@@ -84,11 +153,14 @@ def locally_soluble_p(f: BinaryForm, p: int, depth_budget: int | None = None) ->
             d //= p
             vdisc += 1
         depth_budget = vdisc + (2 if p == 2 else 0) + f.degree + 4
-    affine = [int(c) for c in f.coeffs]  # f(t, 1)
-    infinity = _subst_shift_scale(list(reversed(f.coeffs)), 0, p)  # f(1, p t)
+    affine = [int(c) for c in f.coeffs]  # f(t, 1); f(1, p t) is built only if needed
     if p == 2:
-        return _decide_2(affine, 0, depth_budget) or _decide_2(infinity, 0, depth_budget)
-    return _decide_odd(affine, p, 0, depth_budget) or _decide_odd(infinity, p, 0, depth_budget)
+        return _decide_2(affine, 0, depth_budget) or _decide_2(
+            _subst_shift_scale(affine[::-1], 0, 2), 0, depth_budget
+        )
+    return _decide_odd(affine, p, 0, depth_budget) or _decide_odd(
+        _subst_shift_scale(affine[::-1], 0, p), p, 0, depth_budget
+    )
 
 
 def _subst_shift_scale(coeffs: list[int], t0: int, p: int) -> list[int]:
@@ -141,19 +213,33 @@ def _takes_unit_square_value(hbar: list[int], p: int) -> bool:
     if len(hbar) - 1 == 0:
         return _is_qr(hbar[0], p)
     if p <= max(_SQUARE_SCAN_BOUND, (len(hbar) + 1) ** 2):
-        squares = {(x * x) % p for x in range(1, (p + 1) // 2 + 1)}
-        for t in range(p):
-            if gfpoly.gf_eval(hbar, t, p) in squares:
-                return True
+        return any(_is_qr(gfpoly.gf_eval(hbar, t, p), p) for t in range(p))
+    # large p: if h = c * s * G^2 with s squarefree of degree >= 1, then
+    # z^2 = c * s is a curve with more than 2 * deg s points once
+    # p > (deg h + 2)^2 (Weil), so a nonzero square value exists; if h = c * G^2
+    # the values are c times squares
+    return not _is_lc_times_square(hbar, p) or _is_qr(hbar[0], p)
+
+
+def _is_lc_times_square(hbar: list[int], p: int) -> bool:
+    """Is hbar = c * G^2 over F_p (p odd, c its leading coefficient)?  The
+    monic square root G is read off the top half of monic hbar and checked
+    against the bottom half."""
+    d = len(hbar) - 1
+    if d % 2:
         return False
-    # large p: split off the square part; h = c * (odd-multiplicity part) * G^2
-    parts = gfpoly.squarefree_decomposition(hbar, p)
-    odd_deg = sum(len(s) - 1 for s, j in parts if j % 2 == 1)
-    if odd_deg >= 1:
-        # z^2 = c * (odd-multiplicity part) is a curve with more than 2*deg
-        # points once p > (deg + 2)^2 (Weil), so a nonzero square value exists
-        return True
-    return _is_qr(hbar[0], p)
+    m = d // 2
+    inv = pow(hbar[0], -1, p)
+    h = [c * inv % p for c in hbar]
+    half = (p + 1) // 2  # 1/2 mod p
+    g = [1] + [0] * m  # G = x^m + g_1 x^(m-1) + ... + g_m
+    for k in range(1, m + 1):
+        cross = sum(g[i] * g[k - i] for i in range(1, k))
+        g[k] = (h[k] - cross) * half % p
+    for k in range(m + 1, d + 1):
+        if sum(g[i] * g[k - i] for i in range(k - m, m + 1)) % p != h[k]:
+            return False
+    return True
 
 
 def _fp_roots(hbar: list[int], p: int) -> list[int]:

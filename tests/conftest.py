@@ -1,8 +1,12 @@
+import math
 import random
 
 import pytest
 
+from pencilorbits import gfpoly
 from pencilorbits.forms import BinaryForm, UnimodularMatrix2, discriminant, evaluate, random_nondegenerate_form
+from pencilorbits.numutil import isqrt_exact
+from pencilorbits.orbits import CurvePoint
 from pencilorbits.search import DescentBudgetError
 
 random_nondegenerate = random_nondegenerate_form  # the library's sampler, under the tests' name
@@ -76,3 +80,39 @@ def _unit_is_square(u: int, p: int, need: int) -> bool:
     if p == 2:
         return u % 8 == 1
     return pow(u % p, (p - 1) // 2, p) == 1
+
+
+def point_search_oracle(f: BinaryForm, B: int) -> CurvePoint | None:
+    """Reference for rational_point_search: one evaluate and one isqrt_exact
+    per candidate, the point at infinity first, then the primitive pairs of
+    each height h = 1..B in the order (0, h), (1, h), (-1, h), ..., (h, h),
+    (-h, h), (h, h - 1), (-h, h - 1), ..., (h, 1), (-h, 1), (h, 0)."""
+    z = isqrt_exact(f.coeffs[0])
+    if z is not None:
+        return CurvePoint(1, 0, z)
+    for h in range(1, B + 1):
+        ring = [(0, h)] + [(s * x, h) for x in range(1, h + 1) for s in (1, -1)]
+        ring += [(s * h, y) for y in range(h - 1, 0, -1) for s in (1, -1)] + [(h, 0)]
+        for x, y in ring:
+            if math.gcd(x, y) == 1:
+                z = isqrt_exact(evaluate(f, x, y))
+                if z is not None:
+                    return CurvePoint(x, y, z)
+    return None
+
+
+def unit_square_value_oracle(hbar: list[int], p: int) -> bool:
+    """Reference for search._takes_unit_square_value (hbar normalized mod the
+    odd prime p): a scan against the set of nonzero squares when
+    p <= max(1024, (deg + 2)^2), else the parity of the multiplicities in
+    the squarefree decomposition (a factor of odd multiplicity means yes by
+    the Weil bound; none means hbar = c G^2, a unit square value iff c is a
+    square)."""
+    if len(hbar) == 1:
+        return pow(hbar[0], (p - 1) // 2, p) == 1
+    if p <= max(1024, (len(hbar) + 1) ** 2):
+        squares = {x * x % p for x in range(1, (p + 1) // 2 + 1)}
+        return any(gfpoly.gf_eval(hbar, t, p) in squares for t in range(p))
+    if any(j % 2 for _, j in gfpoly.squarefree_decomposition(hbar, p)):
+        return True
+    return pow(hbar[0], (p - 1) // 2, p) == 1

@@ -77,6 +77,11 @@ def test_solve_satisfies_system():
             continue
         x = numutil.solve(A, b)
         assert all(sum(a * xi for a, xi in zip(row, x)) == bi for row, bi in zip(A, b)), (A, b)
+        # several right-hand sides from one elimination
+        b2 = [rng.randint(-9, 9) for _ in range(n)]
+        x1, x2 = numutil.solve_columns(A, [b, b2])
+        assert x1 == x
+        assert all(sum(a * xi for a, xi in zip(row, x2)) == bi for row, bi in zip(A, b2)), (A, b2)
     with pytest.raises(ValueError):
         numutil.solve([[1, 2], [2, 4]], [1, 1])
 

@@ -181,6 +181,27 @@ def test_construction_ideal_and_pair_from_ideal(rng):
             assert nI**2 == Fraction(c**2, f.coeffs[0] ** (n - 2))
 
 
+def test_pair_data_expansions_match_one_solve_per_product(rng):
+    # _pair_data solves every product from one elimination; the reference
+    # converts the target basis and solves afresh for each product
+    from pencilorbits.numutil import solve
+    from pencilorbits.orbits import _pair_data, _target_module_basis
+
+    for n in (2, 4, 6, 8, 10):
+        f, c = random_form_with_point(n, rng, nonzero_lead=True)
+        I, alpha = construction_ideal(f, c)
+        cols = list(zip(*(rings.to_zeta_coords(b) for b in _target_module_basis(f))))
+        alpha_inv = alpha.inverse()
+        want = {}
+        for i in range(n):
+            for j in range(i, n):
+                prod = rings.algebra_mul(rings.algebra_mul(I.basis[i], I.basis[j]), alpha_inv)
+                want[i, j] = tuple(solve(cols, rings.to_zeta_coords(prod)))
+        diagnostics, expansions = _pair_data(I, alpha)
+        assert diagnostics == [] and expansions == want
+        assert invariant_form(pair_from_ideal(I, alpha)) == f
+
+
 def test_pair_data_scaling_equivalence(rng):
     # (I, alpha) -> (kappa I, kappa^2 alpha) leaves the invariant form unchanged
     for n in (2, 4):

@@ -1,7 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
-from pencilorbits import gfpoly, intpoly
+import pytest
+
+from pencilorbits import gfpoly, intpoly, search
 from pencilorbits.forms import BinaryForm, discriminant
+from pencilorbits.orbits import CurvePoint
 from pencilorbits.search import (
     _takes_unit_square_value,
     locally_soluble_R,
@@ -10,7 +18,12 @@ from pencilorbits.search import (
     rational_point_search,
     survey,
 )
-from conftest import random_nondegenerate, soluble_by_exhaustion
+from conftest import (
+    point_search_oracle,
+    random_nondegenerate,
+    soluble_by_exhaustion,
+    unit_square_value_oracle,
+)
 
 
 def test_point_search_examples():
@@ -22,6 +35,65 @@ def test_point_search_examples():
     # point at infinity when f0 is a square
     P = rational_point_search(BinaryForm((4, 1, 1, 1, 3)), 1)
     assert (P.x0, P.y0, P.z0) == (1, 0, 2)
+
+
+def test_point_search_matches_loop(rng):
+    # random forms of degree 2..10 and heights 1..10^6: small heights
+    # hit early, large ones (and high degrees) leave the int64 kernel for the loop
+    for n in range(2, 11, 2):
+        for X in [1, 10, 1000, 10**6] * 4:
+            f = random_nondegenerate(n, X, rng)
+            square_lead = BinaryForm((rng.randint(1, 30) ** 2,) + f.coeffs[1:])
+            for g in (f, square_lead):
+                if g.disc == 0:
+                    continue
+                for B in (0, 1, 2, 12, 40):
+                    assert rational_point_search(g, B) == point_search_oracle(g, B), (g.coeffs, B)
+
+
+def test_point_search_guard_boundary(monkeypatch):
+    # ||f||_1 B^n just below 2^52 runs the int64 kernel, at 2^52 the loop;
+    # the point (1, 1) has the value S, a square next to the bound
+    calls = []
+    loop = search._point_search_loop
+    monkeypatch.setattr(search, "_point_search_loop", lambda f, B: calls.append(B) or loop(f, B))
+    for z, D, path in ((2**26 - 1, 2**26 - 1, "kernel"), (2**26 - 2, 2**27 - 2, "loop")):
+        S = z * z
+        f = BinaryForm((3, S - 5 + D, 0, -D, 2))
+        assert sum(abs(c) for c in f.coeffs) == (2**52 - 1 if path == "kernel" else 2**52)
+        calls.clear()
+        assert rational_point_search(f, 1) == point_search_oracle(f, 1) == CurvePoint(1, 1, z)
+        assert calls == ([] if path == "kernel" else [1])
+    # no candidates at B <= 0, whatever the size of f
+    huge = BinaryForm((2**80 + 1, 0, -(2**70)))
+    assert rational_point_search(huge, 0) is None and rational_point_search(huge, -3) is None
+    # B = 2 at n = 4: ||f||_1 = 2^48 - 1 (kernel) and 2^48 (loop)
+    rng = random.Random(52)
+    for norm, ran_loop in ((2**48 - 1, False), (2**48, True)):
+        for _ in range(5):
+            c = [-rng.randint(1, 2**45)] + [rng.randint(-(2**45), 2**45) for _ in range(3)]  # f0 < 0
+            last = norm - sum(abs(x) for x in c)
+            f = BinaryForm(tuple(c) + (rng.choice((-1, 1)) * last,))
+            if f.disc == 0:
+                continue
+            calls.clear()
+            assert rational_point_search(f, 2) == point_search_oracle(f, 2), f.coeffs
+            assert bool(calls) == ran_loop
+
+
+def test_point_search_memory_flat_in_bound():
+    # a negative-definite quartic has no point: B = 600 walks all 721 200 raw
+    # candidates, in blocks, without a table that grows with B^2
+    f = BinaryForm((-1, 0, 0, 0, -1))
+    f.disc
+    search._candidate_block.cache_clear()
+    tracemalloc.start()
+    try:
+        assert rational_point_search(f, 600) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
 
 
 def test_points_feed_pair_construction(rng):
@@ -117,6 +189,72 @@ def test_unit_square_value_against_scan(rng):
                 G = random_poly((d - odd) // 2, p)
                 hbar = gfpoly.normalize(intpoly.mul(intpoly.mul(G, G), s), p)
                 assert _takes_unit_square_value(hbar, p) == scan(hbar, p), (p, d, odd)
+
+
+def test_unit_square_value_small_p_against_square_set(rng):
+    # scan branch (p <= 1024): one quadratic-character test per value
+    for p in (3, 5, 7, 11, 101, 1021):
+        for d in (1, 2, 3, 4, 9, 30):
+            for _ in range(4):
+                hbar = gfpoly.normalize([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(d)], p)
+                assert _takes_unit_square_value(hbar, p) == unit_square_value_oracle(hbar, p), (p, hbar)
+            G = [1] + [rng.randrange(p) for _ in range(d)]
+            for c in range(1, min(p, 6)):
+                hbar = gfpoly.normalize(intpoly.mul([c], intpoly.mul(G, G)), p)
+                assert _takes_unit_square_value(hbar, p) == unit_square_value_oracle(hbar, p), (p, hbar)
+
+
+def test_unit_square_value_large_p_against_squarefree_decomposition(rng):
+    # large-p branch: h = c G^2 is read off directly; compare with the
+    # multiplicity parity of the squarefree decomposition
+    for p in (1163, 65537, 10**9 + 7):
+        nonresidue = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        for m in (1, 2, 5, 15):
+            G = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(m)]
+            a = rng.randrange(p)
+            shapes = (
+                intpoly.mul(G, G),  # c = lc(G)^2, a square
+                intpoly.mul([nonresidue], intpoly.mul(G, G)),  # non-residue c
+                intpoly.mul([nonresidue], intpoly.mul(intpoly.mul(G, G), [1, -a])),  # c G^2 (x - a)
+                [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(2 * m + 1)],  # odd degree
+                [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(2 * m)],  # even, not c G^2
+                intpoly.mul([nonresidue], intpoly.mul(intpoly.mul(G, G), intpoly.mul([1, -a], [1, -a - 1]))),
+            )
+            for h in shapes:
+                hbar = gfpoly.normalize(h, p)
+                want = unit_square_value_oracle(hbar, p)
+                assert _takes_unit_square_value(hbar, p) == want, (p, m, hbar)
+                assert search._is_lc_times_square(hbar, p) == (
+                    len(hbar) % 2 == 1 and not any(j % 2 for _, j in gfpoly.squarefree_decomposition(hbar, p))
+                )
+
+
+def test_locally_soluble_p_rejects_p_below_2():
+    f = BinaryForm((1, 0, 0, 0, -7))
+    for p in (-3, 0):
+        with pytest.raises(ValueError):
+            locally_soluble_p(f, p)
+    # p = 1 divides everything: a fresh interpreter under a timeout, so a
+    # hang in the valuation loop fails the test instead of stalling the suite
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(q for q in (src, os.environ.get("PYTHONPATH")) if q))
+    code = (
+        "from pencilorbits.forms import BinaryForm\n"
+        "from pencilorbits.search import locally_soluble_p\n"
+        "try:\n"
+        "    locally_soluble_p(BinaryForm((1, 0, 0, 0, -7)), 1)\n"
+        "except ValueError as e:\n"
+        "    print('ValueError', e)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0 and proc.stdout.startswith("ValueError"), proc.stderr
+
+
+def test_differential_search_smoke(capsys):
+    from differential_search import main
+
+    assert main(["--curves", "67", "--seed", "3"]) == 0  # 201 curves over n = 2, 4, 6
+    assert "total: 0 disagreements" in capsys.readouterr().out
 
 
 def test_survey_coherence(rng):
