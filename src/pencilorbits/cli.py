@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 import time
+from decimal import Decimal
 
 from . import densities, finite_fields, search
 from .forms import BinaryForm
@@ -25,6 +26,9 @@ EXIT_BUDGET = 3
 
 # --jobs range: worker processes are started up front, one per job
 MAX_JOBS = 64
+# --primes range: genus0_product(10^5) takes 1.5 s and a density row about
+# 6 s, and both grow faster than linearly in P
+MAX_PRIMES = 100_000
 
 
 class CliValidationError(Exception):
@@ -46,6 +50,10 @@ def _require(ok: bool, msg: str) -> None:
 
 def _require_jobs(jobs: int) -> None:
     _require(1 <= jobs <= MAX_JOBS, f"--jobs must be between 1 and {MAX_JOBS}")
+
+
+def _require_primes(primes: int, least: int) -> None:
+    _require(least <= primes <= MAX_PRIMES, f"--primes must be between {least} and {MAX_PRIMES}")
 
 
 def _emit(command: str, inputs: dict, payload, seed: int | None, csv_lines: list[str] | None = None, csv: bool = False):
@@ -123,7 +131,7 @@ def _cmd_count_fp(args) -> int:
 def _cmd_densities(args) -> int:
     _require(args.genus >= 0, "--genus must be >= 0")
     _require(args.genus_count >= 1, "--genus-count must be >= 1")
-    _require(args.primes >= 2, "--primes must be >= 2")
+    _require_primes(args.primes, 2)
     _require(args.samples >= 0, "--samples must be >= 0")
     _require_jobs(args.jobs)
     reports = []
@@ -162,11 +170,13 @@ def _cmd_densities(args) -> int:
 
 
 def _cmd_genus0(args) -> int:
-    _require(args.primes >= 3, "--primes must be >= 3")
+    _require_primes(args.primes, 3)
     val = densities.genus0_product(args.primes)
     payload = {
         "truncation_prime": args.primes,
-        "product": f"{val.numerator}/{val.denominator}",
+        # Decimal prints integers of any length; str(int) refuses more than
+        # 4300 digits by default, which P = 10^4 already exceeds
+        "product": f"{Decimal(val.numerator)}/{Decimal(val.denominator)}",
         "float": float(val),
         "log10": _log10_fraction(val),
     }

@@ -177,35 +177,17 @@ def real_root_count(f: BinaryForm) -> int:
     return count + at_infinity
 
 
-def factorization_type_mod_p(f: BinaryForm, p: int, seed: int = 0) -> FactorizationType:
+def factorization_type_mod_p(f: BinaryForm, p: int) -> FactorizationType:
     """Factorization type of f over F_p as a binary form: the factor y^v with
     v = n - deg(f(x,1) mod p) accounts for leading-coefficient vanishing."""
-    n = f.degree
     reduced = gfpoly.normalize(f.univariate(), p)
     if not reduced:
         raise ZeroFormError(f"form vanishes identically mod {p}")
-    parts = []
-    v = n - (len(reduced) - 1)
+    parts = gfpoly.factor_degrees(reduced, p)
+    v = f.degree - (len(reduced) - 1)
     if v > 0:
         parts.append((1, v))
-    if len(reduced) > 1:
-        _, factors = gfpoly.factor(reduced, p, seed=seed)
-        parts.extend((len(irr) - 1, mult) for irr, mult in factors)
-    parts.sort()
-    return FactorizationType(tuple(parts))
-
-
-def distinct_factor_count_mod_p(f: BinaryForm, p: int) -> int:
-    """m = number of distinct irreducible binary factors of f mod p (cheap:
-    no equal-degree splitting)."""
-    n = f.degree
-    reduced = gfpoly.normalize(f.univariate(), p)
-    if not reduced:
-        raise ZeroFormError(f"form vanishes identically mod {p}")
-    m = 1 if len(reduced) - 1 < n else 0
-    if len(reduced) > 1:
-        m += gfpoly.distinct_factor_count(reduced, p)
-    return m
+    return FactorizationType(tuple(sorted(parts)))
 
 
 def is_separable_mod_p(f: BinaryForm, p: int) -> bool:

@@ -1,9 +1,12 @@
-"""Dense univariate polynomial arithmetic and factorization over F_p.
+"""Dense univariate polynomial arithmetic over F_p: squarefree and
+distinct-degree decompositions, and factorization types built from them.
 
 Coefficient lists are in descending order with entries reduced mod p and a
-nonzero leading coefficient ([] is the zero polynomial).  Factorization is
-squarefree decomposition + distinct-degree + Cantor-Zassenhaus equal-degree
-splitting; the equal-degree stage is randomized but fully seeded.
+nonzero leading coefficient ([] is the zero polynomial).  There is no full
+factorization: a factorization type needs only the degrees and
+multiplicities of the irreducible factors, which the two decompositions give
+without splitting.  Cantor-Zassenhaus equal-degree splitting (odd p, seeded
+by the caller) remains for finding the roots of a polynomial in F_p.
 """
 
 import random
@@ -175,13 +178,14 @@ def add_mod(a, b, mod):
 
 
 def equal_degree_split(f, d, mod, rng: random.Random):
-    """Cantor-Zassenhaus: split monic squarefree f, all of whose irreducible
-    factors have degree d, into the list of its irreducible factors."""
+    """Cantor-Zassenhaus at odd p: split monic squarefree f, all of whose
+    irreducible factors have degree d, into the list of its irreducible
+    factors."""
+    if mod == 2:
+        raise ValueError("equal-degree splitting is implemented for odd p only")
     n = len(f) - 1
     if n == d:
         return [list(f)]
-    if mod == 2:
-        return _edf_gf2(f, d, rng)
     factors = [list(f)]
     out = []
     e = (mod**d - 1) // 2
@@ -206,84 +210,13 @@ def equal_degree_split(f, d, mod, rng: random.Random):
     return out
 
 
-def _edf_gf2(f, d, rng):
-    # trace-map splitting for p = 2
-    factors = [list(f)]
-    out = []
-    while factors:
-        g = factors.pop()
-        if len(g) - 1 == d:
-            out.append(g)
-            continue
-        while True:
-            a = normalize([rng.randrange(2) for _ in range(len(g) - 1)], 2)
-            if not a:
-                continue
-            t = list(a)
-            tr = list(a)
-            for _ in range(d - 1):
-                t = gf_powmod(t, 2, g, 2)
-                tr = add_mod(tr, t, 2)
-            h = gf_gcd(tr, g, 2)
-            if 0 < len(h) - 1 < len(g) - 1:
-                q, _ = gf_divmod(g, h, 2)
-                factors.append(h)
-                factors.append(q)
-                break
-    return out
-
-
-def factor(f, mod, seed: int = 0):
-    """Full factorization of f over F_p: (unit, [(irreducible, multiplicity)]).
-
-    Deterministic for a fixed seed; irreducible factors are monic and the
-    list is sorted for reproducibility.
-    """
-    f = normalize(f, mod)
-    if not f:
-        raise ValueError("cannot factor the zero polynomial")
-    unit = f[0]
-    f = gf_monic(f, mod)
-    rng = random.Random((seed, mod, tuple(f)).__hash__() & 0x7FFFFFFF)
+def factor_degrees(f, mod) -> list[tuple[int, int]]:
+    """Sorted (degree, multiplicity) pairs of the distinct monic irreducible
+    factors of f over F_p.  The squarefree parts have distinct multiplicities
+    and are pairwise coprime, and a distinct-degree class of degree d and
+    product g holds deg(g) / d factors, so no class is split."""
     out = []
     for sqf, mult in squarefree_decomposition(f, mod):
         for d, prod in distinct_degree_factorization(sqf, mod):
-            for irr in equal_degree_split(prod, d, mod, rng):
-                out.append((irr, mult))
-    out.sort(key=lambda t: (len(t[0]), t[0]))
-    return unit, out
-
-
-def distinct_factor_count(f, mod) -> int:
-    """Number of distinct monic irreducible factors of f (no splitting needed:
-    squarefree decomposition + DDF degree bookkeeping)."""
-    total = 0
-    seen: list[list[int]] = []
-    for sqf, _ in squarefree_decomposition(normalize(f, mod), mod):
-        seen.append(sqf)
-    # squarefree parts of distinct multiplicity are pairwise coprime
-    for sqf in seen:
-        for d, prod in distinct_degree_factorization(sqf, mod):
-            total += (len(prod) - 1) // d
-    return total
-
-
-def is_irreducible(f, mod) -> bool:
-    f = gf_monic(normalize(f, mod), mod)
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = [1, 0]
-    h = gf_powmod(x, mod**n, f, mod)
-    if normalize(add_mod(h, [mod - 1, 0], mod), mod):
-        return False
-    from .numutil import factorize
-
-    for q in factorize(n):
-        h = gf_powmod(x, mod ** (n // q), f, mod)
-        g = gf_gcd(add_mod(h, [mod - 1, 0], mod), f, mod)
-        if len(g) - 1 != 0:
-            return False
-    return True
+            out += [(d, mult)] * ((len(prod) - 1) // d)
+    return sorted(out)

@@ -296,21 +296,3 @@ def transported_construction_class(f: BinaryForm, P: CurvePoint) -> AlgebraEleme
         acc = rings.algebra_mul(acc, den_inv)
     return acc
 
-
-def random_unimodular(n: int, rng, steps: int = 12, bound: int = 2) -> list[list[int]]:
-    """Random product of elementary matrices with det +-1 and bounded entries."""
-    g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(steps):
-        kind = rng.randrange(3)
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if kind == 0 and i != j:
-            c = rng.randint(-bound, bound)
-            for col in range(n):
-                g[i][col] += c * g[j][col]
-        elif kind == 1 and i != j:
-            g[i], g[j] = g[j], g[i]
-        elif kind == 2:
-            for col in range(n):
-                g[i][col] = -g[i][col]
-    return g

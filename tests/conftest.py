@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -30,6 +31,61 @@ def random_sl2(rng: random.Random, size: int = 3) -> UnimodularMatrix2:
         g = g @ UnimodularMatrix2(1, rng.randint(-size, size), 0, 1)
         g = g @ UnimodularMatrix2(1, 0, rng.randint(-size, size), 1)
     return g
+
+
+def random_unimodular(n: int, rng, steps: int = 12, bound: int = 2) -> list[list[int]]:
+    """Random product of elementary matrices with det +-1 and bounded entries."""
+    g = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        kind = rng.randrange(3)
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if kind == 0 and i != j:
+            c = rng.randint(-bound, bound)
+            for col in range(n):
+                g[i][col] += c * g[j][col]
+        elif kind == 1 and i != j:
+            g[i], g[j] = g[j], g[i]
+        elif kind == 2:
+            for col in range(n):
+                g[i][col] = -g[i][col]
+    return g
+
+
+def factor(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Oracle for the irreducible factors of f over F_p, p odd: the monic
+    irreducible factors with their multiplicities, sorted by degree, then
+    coefficients.  Each squarefree part is split into distinct-degree
+    classes and each class by Cantor-Zassenhaus."""
+    rnd = random.Random(0)
+    out = []
+    for sqf, mult in gfpoly.squarefree_decomposition(f, p):
+        for d, prod in gfpoly.distinct_degree_factorization(sqf, p):
+            out += [(irr, mult) for irr in gfpoly.equal_degree_split(prod, d, p, rnd)]
+    return sorted(out, key=lambda t: (len(t[0]), t[0]))
+
+
+def factor_by_trial_division(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """The same as `factor`, for any p but only small p and degree: every
+    monic polynomial is divided out in order of degree while it divides, so
+    each one that divides is irreducible."""
+    f = gfpoly.gf_monic(gfpoly.normalize(f, p), p)
+    out = []
+    d = 1
+    while 2 * d <= len(f) - 1:
+        for tail in itertools.product(range(p), repeat=d):
+            g, e = [1, *tail], 0
+            while len(f) - 1 >= d:
+                q, r = gfpoly.gf_divmod(f, g, p)
+                if r:
+                    break
+                f, e = q, e + 1
+            if e:
+                out.append((g, e))
+        d += 1
+    if len(f) > 1:
+        out.append((f, 1))
+    return sorted(out, key=lambda t: (len(t[0]), t[0]))
 
 
 @pytest.fixture

@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from pencilorbits.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, MAX_JOBS, run
+from pencilorbits.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, MAX_JOBS, MAX_PRIMES, run
+from pencilorbits.densities import genus0_product
 
 
 def _run(argv):
@@ -86,6 +89,18 @@ def test_genus0_command():
     assert rec["payload"]["product"] == "119/225"
 
 
+def test_genus0_command_default_primes():
+    # at P = 10^4 the numerator has over 4300 digits, the default limit of
+    # Python's int <-> str conversion, so both directions go through Decimal
+    code, out, _ = _run(["genus0"])
+    assert code == EXIT_OK
+    rec = json.loads(out)
+    assert rec["payload"]["truncation_prime"] == 10_000
+    num, den = rec["payload"]["product"].split("/")
+    assert len(num) > 4300
+    assert Fraction(int(Decimal(num)), int(Decimal(den))) == genus0_product(10_000)
+
+
 def test_survey_command_round_trip():
     code, out, _ = _run(["survey", "--n", "2", "--height", "8", "--count", "5", "--seed", "4", "--point-bound", "6"])
     assert code == EXIT_OK
@@ -122,6 +137,8 @@ ARGV_EXIT_CODES = [
     (["survey", "--n", "4", "--height", "5", "--count", "-1"], EXIT_VALIDATION),
     (["survey", "--n", "4", "--height", "5", "--count", "1", "--jobs", "0"], EXIT_VALIDATION),
     (["genus0", "--primes", "2"], EXIT_VALIDATION),
+    (["genus0", "--primes", "100000000000"], EXIT_VALIDATION),
+    (["densities", "--genus", "1", "--samples", "0", "--primes", str(MAX_PRIMES + 1)], EXIT_VALIDATION),
     (["count-fp", "--n", "2", "--form", "1,0,1", "--p", "0"], EXIT_VALIDATION),
     (["count-fp", "--n", "2", "--form", "1,0,1", "--p", "1"], EXIT_VALIDATION),
     (["count-fp", "--n", "2", "--form", "1,0,1", "--p", "4"], EXIT_VALIDATION),

@@ -16,10 +16,7 @@ def distinct_count_table(n, p):
         if not any(vec):
             continue
         reduced = gfpoly.normalize(list(vec), p)
-        m = 1 if len(reduced) - 1 < n else 0
-        if len(reduced) > 1:
-            m += gfpoly.distinct_factor_count(reduced, p)
-        out[idx] = m
+        out[idx] = (1 if len(reduced) - 1 < n else 0) + len(gfpoly.factor_degrees(reduced, p))
     return out
 
 

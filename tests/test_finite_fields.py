@@ -100,6 +100,21 @@ def test_prediction_examples(rng):
         orbit_statistics_prediction(BinaryForm((1, 2, 1)), 2)
 
 
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, 9])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: count_pairs_with_form(BinaryForm((1, 0, 1)), p),
+        lambda p: pair_census_n2(p),
+        lambda p: orbit_statistics_prediction(BinaryForm((1, 0, 1)), p),
+    ],
+    ids=["count_pairs_with_form", "pair_census_n2", "orbit_statistics_prediction"],
+)
+def test_non_prime_p_rejected(call, p):
+    with pytest.raises(ValueError, match="must be a prime"):
+        call(p)
+
+
 # -- enumeration oracles: the explicit-matrix n = 2 orbit walk and the
 # 24-permutation quartic census, kept as the library computed them before
 # both were vectorised --------------------------------------------------------

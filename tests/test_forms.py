@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from pencilorbits.forms import (
@@ -13,7 +15,7 @@ from pencilorbits.forms import (
     real_root_count,
     sl2_act,
 )
-from conftest import random_nondegenerate, random_sl2
+from conftest import factor, factor_by_trial_division, random_nondegenerate, random_sl2
 
 
 def test_evaluate_examples():
@@ -93,6 +95,25 @@ def test_factorization_type_degree_sum(rng):
                     continue
                 assert ft.total_degree() == n
                 assert ft.m == len(ft.parts)
+
+
+def test_factorization_type_matches_oracle_every_form():
+    # the type assembled from the irreducible factors themselves; trial
+    # division stands in for the oracle at p = 2, where it does not split
+    for p in (2, 3, 5):
+        reference = factor_by_trial_division if p == 2 else factor
+        for n in (2, 4):
+            for coeffs in itertools.product(range(p), repeat=n + 1):
+                if not any(coeffs):
+                    continue
+                f = BinaryForm(coeffs)
+                reduced = list(coeffs)
+                while not reduced[0]:
+                    reduced.pop(0)
+                parts = [(len(irr) - 1, e) for irr, e in reference(reduced, p)]
+                if len(reduced) - 1 < n:
+                    parts.append((1, n - (len(reduced) - 1)))
+                assert factorization_type_mod_p(f, p).parts == tuple(sorted(parts)), (p, coeffs)
 
 
 def test_separability(rng):

@@ -1,38 +1,43 @@
 import itertools
 import random
 
+import pytest
+
 from pencilorbits import gfpoly
+
+from conftest import factor, factor_by_trial_division
 
 
 def test_factor_reconstructs_product():
     rnd = random.Random(4)
-    for p in (2, 3, 5, 7, 13):
+    for p in (3, 5, 7, 13):
         for _ in range(40):
             deg = rnd.randint(1, 9)
             f = [rnd.randrange(p) for _ in range(deg + 1)]
             f = gfpoly.normalize(f, p)
             if len(f) - 1 < 1:
                 continue
-            unit, factors = gfpoly.factor(f, p)
-            prod = [unit]
+            factors = factor(f, p)
+            prod = [f[0]]
             for irr, mult in factors:
-                assert gfpoly.is_irreducible(irr, p), (p, irr)
+                assert gfpoly.factor_degrees(irr, p) == [(len(irr) - 1, 1)], (p, irr)
                 for _ in range(mult):
                     prod = gfpoly.gf_mul(prod, irr, p)
             assert prod == f, (p, f, factors)
             assert len({tuple(i) for i, _ in factors}) == len(factors)
 
 
-def test_distinct_factor_count_matches_factor():
+def test_factor_degrees_matches_factor():
     rnd = random.Random(5)
     for p in (2, 3, 5, 7):
+        reference = factor_by_trial_division if p == 2 else factor
         for _ in range(60):
             deg = rnd.randint(1, 8)
             f = gfpoly.normalize([rnd.randrange(p) for _ in range(deg + 1)], p)
             if len(f) - 1 < 1:
                 continue
-            _, factors = gfpoly.factor(f, p)
-            assert gfpoly.distinct_factor_count(f, p) == len(factors)
+            want = sorted((len(irr) - 1, mult) for irr, mult in reference(f, p))
+            assert gfpoly.factor_degrees(f, p) == want, (p, f)
 
 
 def test_squarefree_decomposition_on_constructed_powers():
@@ -44,30 +49,24 @@ def test_squarefree_decomposition_on_constructed_powers():
             irrs = []
             for d in (1, 1, 2, 3):
                 while True:
-                    cand = gfpoly.gf_monic(
-                        gfpoly.normalize([1] + [rnd.randrange(p) for _ in range(d)], p), p
-                    )
-                    if gfpoly.is_irreducible(cand, p) and cand not in irrs:
+                    cand = [1] + [rnd.randrange(p) for _ in range(d)]
+                    if factor_by_trial_division(cand, p) == [(cand, 1)] and cand not in irrs:
                         irrs.append(cand)
                         break
             mults = [rnd.choice([1, 2, 3, p, p + 1, 2 * p]) for _ in irrs]
             f = [1]
+            want = {}
             for irr, m in zip(irrs, mults):
+                want[m] = gfpoly.gf_mul(want.get(m, [1]), irr, p)
                 for _ in range(m):
                     f = gfpoly.gf_mul(f, irr, p)
-            got = {}
-            for part, mult in gfpoly.squarefree_decomposition(f, p):
-                _, facs = gfpoly.factor(part, p)
-                for irr, e in facs:
-                    assert e == 1
-                    got[tuple(irr)] = mult
-            want = {tuple(i): m for i, m in zip(irrs, mults)}
-            assert got == want
+            got = dict((m, part) for part, m in gfpoly.squarefree_decomposition(f, p))
+            assert got == want, (p, irrs, mults)
 
 
-def test_is_irreducible_brute_force():
+def test_factor_degrees_irreducible_brute_force():
     for p in (2, 3):
-        for deg in (2, 3, 4):
+        for deg in (2, 3, 4, 5):
             for vec in itertools.product(range(p), repeat=deg):
                 f = [1] + list(vec)
                 reducible = False
@@ -79,4 +78,10 @@ def test_is_irreducible_brute_force():
                             break
                     if reducible:
                         break
-                assert gfpoly.is_irreducible(f, p) == (not reducible), (p, f)
+                assert (gfpoly.factor_degrees(f, p) == [(deg, 1)]) == (not reducible), (p, f)
+
+
+def test_equal_degree_split_rejects_p2():
+    # the Cantor-Zassenhaus exponent (p^d - 1) / 2 never splits at p = 2
+    with pytest.raises(ValueError):
+        gfpoly.equal_degree_split([1, 1, 0], 1, 2, random.Random(0))

@@ -11,14 +11,13 @@ from pencilorbits.orbits import (
     invariant_form,
     pair_from_ideal,
     pair_from_point,
-    random_unimodular,
     sl2_act_on_pair,
     template_pair,
     transported_construction_class,
     verify_pair_data,
     x_minus_T,
 )
-from conftest import random_form_with_point, random_sl2
+from conftest import random_form_with_point, random_sl2, random_unimodular
 
 
 def test_invariant_form_examples():

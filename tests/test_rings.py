@@ -26,7 +26,7 @@ from pencilorbits.rings import (
     to_zeta_coords,
     zeta_element,
 )
-from conftest import random_nondegenerate
+from conftest import factor, random_nondegenerate
 
 
 def test_structure_constants_examples():
@@ -253,15 +253,15 @@ def test_same_square_class_witness_inside_one_ddf_class():
 
 
 def _reference_residue_verdict(alpha, beta, trials):
-    """Per-irreducible-factor residue test with gfpoly.factor, for forms
-    without real roots (where no real witness exists)."""
+    """Per-irreducible-factor residue test with the `factor` oracle, for
+    forms without real roots (where no real witness exists)."""
     f = alpha.form
     G, D = algebra_mul(alpha, beta).numerator_poly()
     bad = abs(f.coeffs[0] * f.disc * D * intpoly.resultant(f.univariate(), G))
     primes = [p for p in range(3, 10_000, 2) if bad % p and is_prime(p)][:trials]
     for p in primes:
         w = [c * pow(D, -1, p) % p for c in gfpoly.normalize(G, p)]
-        for h, _ in gfpoly.factor(f.univariate(), p)[1]:
+        for h, _ in factor(f.univariate(), p):
             if gfpoly.gf_powmod(w, (p ** (len(h) - 1) - 1) // 2, h, p) != [1]:
                 return SquareClassVerdict.DISTINCT
     return SquareClassVerdict.EQUAL
