@@ -18,3 +18,13 @@ def test_traced_functions_exist():
         mod = importlib.import_module(f"pencilorbits.{mod_name}")
         missing += [f"{mod_name}.{name}" for name in names if not callable(getattr(mod, name, None))]
     assert not missing, missing
+
+
+def test_census_caches_are_cleared_between_rounds():
+    # run.py's find_caches clears an lru_cache only where its __module__ is
+    # the module that holds it; a table cached any other way is timed warm
+    from pencilorbits import finite_fields
+
+    for fn in (finite_fields._quartic_pair_table, finite_fields.pair_census_n2):
+        assert callable(getattr(fn, "cache_clear", None)), fn
+        assert fn.__module__ == "pencilorbits.finite_fields", fn

@@ -5,6 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from pencilorbits import finite_fields
 from pencilorbits.forms import BinaryForm, is_separable_mod_p
 from pencilorbits.finite_fields import (
     BudgetExceededError,
@@ -62,6 +63,30 @@ def test_count_pairs_n4_p2():
     assert st.total_elements == 20160
     with pytest.raises(BudgetExceededError):
         count_pairs_with_form(BinaryForm((1, 1, 0, 0, 1)), 3)
+
+
+def test_quartic_totals_over_every_form():
+    # every pair has exactly one invariant form, so the 32 forms mod 2
+    # (0 and the inseparable ones included) share all 2^20 pairs
+    total = sum(count_pairs_with_form(BinaryForm(c), 2).total_elements for c in itertools.product((0, 1), repeat=5))
+    assert total == 1 << 20
+
+
+def test_quartic_table_is_read_only():
+    table = _quartic_pair_table()
+    with pytest.raises(ValueError):
+        table[0] += 1
+
+
+@pytest.mark.parametrize("block", (64, 1024))
+def test_quartic_table_independent_of_block(monkeypatch, block):
+    default = _quartic_pair_table()
+    _quartic_pair_table.cache_clear()
+    monkeypatch.setattr(finite_fields, "_QUARTIC_BLOCK", block)
+    try:
+        assert _quartic_pair_table().tolist() == default.tolist()
+    finally:
+        _quartic_pair_table.cache_clear()
 
 
 def test_census_total():
