@@ -47,6 +47,16 @@ def _check_rows(rows):
 
 
 def test_certified_rows_agree_with_exact():
+    rng = np.random.default_rng(12)
+    for n in (6, 12, 14):
+        K = rng.integers(-(1 << 12), 1 << 12, size=(800, n + 1))
+        C = 2 * K + 1
+        assert _check_rows(C.tolist()) > 400, n  # the stage certifies most rows
+
+
+def test_disc_stage_matches_exact_at_every_even_degree():
+    # named for the eigenvalue stage it first covered; the same rows now
+    # check the one Descartes stage and the whole batch
     rng = np.random.default_rng(13)
     for n in range(4, 27, 2):
         # the density sampler's odd 12-bit numerators, and small integers,
@@ -57,6 +67,9 @@ def test_certified_rows_agree_with_exact():
         small[:, 0] = rng.choice([-2, -1, 1, 2], size=120)
         assert _check_rows(dyadic.tolist()) >= 110, n
         assert _check_rows(small.tolist()) >= 50, n
+        for rows in (dyadic, small):
+            got = count_real_roots_batch(rows)
+            assert got.tolist() == [_exact(r) for r in rows.tolist()], n
 
 
 def test_nonsquarefree_rows_fall_back():
@@ -120,10 +133,15 @@ def test_descartes_stage_adversarial_families():
     certified = {name: _check_rows(rows) for name, rows in fam.items()}
     assert certified["real_multiple"] == 0
     assert min(certified[name] for name in ("near_double", "mignotte", "clustered", "complex_multiple")) > 0
-    # the whole batch, one row at a time
-    for family in fam.values():
+
+
+def test_disc_stage_adversarial_families():
+    # named for the eigenvalue stage it first covered; now the whole batch,
+    # one row at a time and in batches of 64 copies
+    for family in _families().values():
         for row in family:
             assert count_real_roots_batch(np.array([row]))[0] == _exact(row), row
+            assert (count_real_roots_batch(np.array([row] * 64)) == _exact(row)).all(), row
 
 
 def test_descartes_stage_rejects_roots_at_split_points():
