@@ -9,7 +9,7 @@ from pencilorbits.rings import algebra_mul, ideal_inverse_power, spans_equal, to
 f = BinaryForm((3, 1, -4, 2, 5))
 print("f =", f, " Disc =", discriminant(f))
 
-R = ring_from_form(f)  # verifies the multiplication table against K_f
+R = ring_from_form(f)
 n = f.degree
 print("\nzeta_i * zeta_j expansions on (1, zeta_1, ..., zeta_%d):" % (n - 1))
 for i in range(1, n):

@@ -10,7 +10,6 @@ from .forms import (
     evaluate,
     factorization_type_mod_p,
     height,
-    random_form,
     real_root_count,
     sl2_act,
 )

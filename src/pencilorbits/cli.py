@@ -81,11 +81,12 @@ def _cmd_orbit(args) -> int:
     _require(f.disc != 0, "form is degenerate (Disc = 0)")
     _require(P.on_curve(f), "point is not on z^2 = f(x, y)")
     v = pair_from_point(f, P)
+    fv = invariant_form(v)
     payload = {
         "A": [list(r) for r in v.A],
         "B": [list(r) for r in v.B],
-        "invariant_form": [str(c) for c in invariant_form(v).coeffs],
-        "det_identity_holds": invariant_form(v) == f,
+        "invariant_form": [str(c) for c in fv.coeffs],
+        "det_identity_holds": fv == f,
     }
     if P.z0 != 0:
         el = x_minus_T(f, P)

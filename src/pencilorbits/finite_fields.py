@@ -14,9 +14,9 @@ each entry plane of the 2^10 matrices B is packed 64 to a uint64 word, each
 entry of a row of A is an all-zeros or all-ones word, and one bitwise op
 covers 64 pairs.  A numpy pass takes 256 rows of A against all of B, then
 unpacks the five values into a 7-bit key per pair and tallies the keys with
-one bincount.  In characteristic 2 the determinant is the permanent, so a
-Laplace expansion along rows 0, 1 costs 30 products instead of the 72 of
-the permutation sum.
+bincount, 2^15 at a time.  In characteristic 2 the determinant is the
+permanent, so a Laplace expansion along rows 0, 1 costs 30 products instead
+of the 72 of the permutation sum.
 """
 
 import itertools
@@ -160,6 +160,7 @@ def _count_n2(f: BinaryForm, p: int) -> OrbitStats:
 # -- n = 4, p = 2: five-point determinant keys over F_4 ----------------------
 
 _QUARTIC_BLOCK = 256  # rows of A per numpy pass: 256 x 2^10 = 2^18 pairs, 64 per word
+_TALLY_SLICE = 1 << 15  # keys per bincount: a 256 KB intp copy, not 2 MB
 
 
 def _f4_mul(x, y):
@@ -211,30 +212,24 @@ def _quartic_pair_table() -> np.ndarray:
         key = (det_all[a0 : a0 + _QUARTIC_BLOCK, None] << 6) | (det_all[None, :] << 5)
         for shift, plane in zip((4, 3, 2, 1, 0), (dAB, dh1, dl1, dh2, dl2)):
             key |= np.unpackbits(plane.view(np.uint8), axis=1, bitorder="little") << shift
-        counts += np.bincount(key.ravel(), minlength=1 << 7)
+        key = key.ravel()
+        for k0 in range(0, key.size, _TALLY_SLICE):  # bincount copies its slice to intp
+            counts += np.bincount(key[k0 : k0 + _TALLY_SLICE], minlength=1 << 7)
     counts.flags.writeable = False
     return counts
 
 
 def _quartic_key(fc: tuple[int, ...]) -> int:
-    f0, f1, f2, f3, f4 = fc
-    e10 = f0
-    e01 = f4
-    e11 = (f0 + f1 + f2 + f3 + f4) % 2
-    # powers of w: w^3 = 1; f(w,1) uses w^(4-i) for i = 0..4
-    pw = [(0, 1), (1, 0), (1, 1), (0, 1), (1, 0)]  # w, 1, w^2, w, 1 -> exps 4,3,2,1,0
-    lo = hi = 0
-    for c, (l, h) in zip(fc, pw):
-        if c:
-            lo ^= l
-            hi ^= h
-    pw2 = [(1, 1), (1, 0), (0, 1), (1, 1), (1, 0)]  # exps 8,6,4,2,0 mod 3
-    lo2 = hi2 = 0
-    for c, (l, h) in zip(fc, pw2):
-        if c:
-            lo2 ^= l
-            hi2 ^= h
-    return (e10 << 6) | (e01 << 5) | (e11 << 4) | (hi << 3) | (lo << 2) | (hi2 << 1) | lo2
+    """The census key of f mod 2: f at (1:0), (0:1), (1:1) over F_2 and at
+    (w:1), (w^2:1) over F_4, by Horner's rule in F_4's bit planes."""
+    vals = []
+    for x in ((0, 1), (1, 1)):  # w and w^2 = w + 1
+        acc = (0, 0)
+        for c in fc:
+            acc = _f4_add(_f4_mul(acc, x), (c, 0))
+        vals.append(acc)
+    (lo1, hi1), (lo2, hi2) = vals
+    return (fc[0] << 6) | (fc[4] << 5) | (sum(fc) % 2 << 4) | (hi1 << 3) | (lo1 << 2) | (hi2 << 1) | lo2
 
 
 def square_value_count(f: BinaryForm, p: int) -> int:

@@ -206,14 +206,6 @@ def is_separable_mod_p(f: BinaryForm, p: int) -> bool:
     return len(d) - 1 == 0
 
 
-def random_form(n: int, X: int, seed: int) -> BinaryForm:
-    """Coefficients i.i.d. uniform on {-X, ..., X}; deterministic per seed."""
-    if n < 2 or n % 2:
-        raise ValueError("degree must be even and >= 2")
-    rng = random.Random(seed)
-    return BinaryForm(tuple(rng.randint(-X, X) for _ in range(n + 1)))
-
-
 def random_nondegenerate_form(n: int, X: int, rng: random.Random) -> BinaryForm:
     """Resample until Disc != 0 (the degenerate locus has tiny mass)."""
     if X < 1:

@@ -17,11 +17,6 @@ def strip(p: list) -> list:
     return p[i:]
 
 
-def degree(p: list) -> int:
-    """Degree of a stripped polynomial; [] (the zero polynomial) gives -1."""
-    return len(p) - 1
-
-
 def evaluate(p: list, x):
     acc = 0
     for c in p:

@@ -171,24 +171,16 @@ def _bezout(x0: int, y0: int) -> tuple[int, int]:
 def construction_ideal(f: BinaryForm, c: int) -> tuple[BasedIdeal, AlgebraElement]:
     """The pair (I, alpha) attached to the point (0, 1, c): alpha = theta and
     I = <c, theta * I_f^((n-4)/2)>, with the graded basis
-    (c, theta, ..., theta^((n-2)/2), zeta_(n/2), ..., zeta_(n-1)) for n >= 4
-    and (c, zeta_1) for n = 2."""
+    (c, theta, ..., theta^((n-2)/2), zeta_(n/2), ..., zeta_(n-1)): that of
+    I_f((n-2)/2) with its leading 1 replaced by c, so (c, zeta_1) at n = 2."""
     n = f.degree
     if f.coeffs[n] != c * c:
         raise ValueError("construction requires f_n = c^2")
     if c == 0:
         raise ValueError("Weierstrass point: the ideal construction needs c != 0")
-    alpha = rings.element_theta(f)
-    basis = [rings._coerce(f, c)]
-    if n == 2:
-        basis.append(rings.zeta_element(f, 1))
-    else:
-        table = rings._theta_power_table(f.coeffs)
-        for j in range(1, (n - 2) // 2 + 1):
-            basis.append(AlgebraElement(f, table[j]))
-        for j in range(n // 2, n):
-            basis.append(rings.zeta_element(f, j))
-    return BasedIdeal(f, tuple(basis)), alpha
+    basis = list(rings.ideal_power_basis(f, (n - 2) // 2).basis)
+    basis[0] = rings.element_one(f) * c
+    return BasedIdeal(f, tuple(basis)), rings.element_theta(f)
 
 
 def _target_module_basis(f: BinaryForm) -> list[AlgebraElement]:

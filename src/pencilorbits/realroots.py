@@ -78,7 +78,6 @@ split point).
 
 import sys
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -162,7 +161,11 @@ def _shift_matrix(n: int) -> np.ndarray:
     """(2n+2) x (n+1): a column q, highest coefficient first, to the columns
     of q(t + 1) and (t + 1)^n q(1 / (t + 1)), binomials correctly rounded to
     float64 (inf beyond its range, which sends every row to the exact path)."""
-    T = np.array([[_float(comb(n - k, n - j)) for k in range(n + 1)] for j in range(n + 1)])
+    T = np.zeros((n + 1, n + 1))
+    row = [1]  # Pascal's row m = n - k: C(m, i) for i = 0..m
+    for k in range(n, -1, -1):
+        T[k:, k] = [_float(c) for c in reversed(row)]  # T[j][k] = C(n - k, n - j)
+        row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
     M = np.vstack([T, T[:, ::-1]])
     M.flags.writeable = False  # shared by every caller through the cache
     return M

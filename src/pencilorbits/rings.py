@@ -18,7 +18,7 @@ from math import gcd, lcm
 
 from . import gfpoly, intpoly
 from .forms import BinaryForm
-from .numutil import det, hnf_rows, is_prime, solve_columns
+from .numutil import det, hnf_rows, is_prime, solve, solve_columns
 
 
 class SquareClassVerdict(enum.Enum):
@@ -161,32 +161,18 @@ def algebra_norm(u: AlgebraElement) -> Fraction:
 
 
 def algebra_inverse(u: AlgebraElement) -> AlgebraElement:
-    """Inverse in K_f by the extended Euclidean algorithm (needs Disc != 0
-    only to the extent that gcd(G, f) = 1)."""
+    """Inverse in K_f: the solution x of u*x = 1, from one exact solve with
+    the matrix of multiplication by u (columns u*theta^j)."""
     f = u.form
-    G, D = u.numerator_poly()
-    if not G:
+    if u.is_zero():
         raise ZeroDivisionError("zero element")
-    fpoly = [Fraction(c) for c in f.univariate()]
-    gpoly = [Fraction(c) for c in G]
-    # extended gcd: s*g + t*f = r (constant)
-    r0, r1 = fpoly, gpoly
-    s0, s1 = [], [Fraction(1)]
-    while len(r1) - 1 > 0:
-        q, r = intpoly.divmod_exact(r0, r1)
-        s_new = intpoly.add(s0, intpoly.neg(intpoly.mul(q, s1)))
-        r0, s0, r1, s1 = r1, s1, r, s_new
-        if not r1:
-            raise ZeroDivisionError("element is a zero divisor")
-    c = r1[0]
-    inv_poly = [x / c * D for x in s1]
-    # reduce mod f and convert ascending coords
-    _, rem = intpoly.divmod_exact(inv_poly, fpoly)
-    n = f.degree
-    coords = [Fraction(0)] * n
-    for i, coeff in enumerate(reversed(rem)):
-        coords[i] = Fraction(coeff)
-    return AlgebraElement(f, tuple(coords))
+    powers = _theta_power_table(f.coeffs)[: f.degree]
+    cols = [algebra_mul(u, AlgebraElement(f, t)).coords for t in powers]
+    try:
+        x = solve(list(zip(*cols)), element_one(f).coords)
+    except ValueError:
+        raise ZeroDivisionError("element is a zero divisor") from None
+    return AlgebraElement(f, tuple(x))
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +221,6 @@ def to_zeta_coords(u: AlgebraElement) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def from_zeta_coords(f: BinaryForm, zc) -> AlgebraElement:
-    n = f.degree
-    Z = _zeta_matrix(f.coeffs)
-    coords = [Fraction(0)] * n
-    for k, c in enumerate(zc):
-        if c:
-            for j in range(n):
-                if Z[j][k]:
-                    coords[j] += Fraction(c) * Z[j][k]
-    return AlgebraElement(f, tuple(coords))
-
-
 @dataclass(frozen=True)
 class RankNRing:
     """R_f with basis (1, zeta_1, ..., zeta_(n-1)) and its integer structure
@@ -261,13 +235,9 @@ class RankNRing:
         return self.table[i - 1][j - i]
 
 
-def ring_from_form(f: BinaryForm, verify: bool = True) -> RankNRing:
+def ring_from_form(f: BinaryForm) -> RankNRing:
     """Structure constants from the closed multiplication law, with the
-    boundary convention zeta_n := -f_n (a scalar).
-
-    For Disc(f) != 0 and verify=True the table is checked entry by entry
-    against multiplication in K_f.
-    """
+    boundary convention zeta_n := -f_n (a scalar)."""
     n = f.degree
     if f.coeffs[0] == 0:
         raise ValueError("nonzero leading coefficient required")
@@ -287,15 +257,7 @@ def ring_from_form(f: BinaryForm, verify: bool = True) -> RankNRing:
                 vec[k] -= c[i + j - k]
             row.append(tuple(vec))
         table.append(tuple(row))
-    ring = RankNRing(f, tuple(table))
-    if verify and f.disc != 0:
-        for i in range(1, n):
-            for j in range(i, n):
-                prod = algebra_mul(zeta_element(f, i), zeta_element(f, j))
-                zc = to_zeta_coords(prod)
-                if tuple(zc) != tuple(Fraction(x) for x in ring.product(i, j)):
-                    raise ArithmeticError(f"structure constant mismatch at ({i},{j})")
-    return ring
+    return RankNRing(f, tuple(table))
 
 
 def ring_multiply(R: RankNRing, u, v) -> tuple:

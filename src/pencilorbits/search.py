@@ -137,7 +137,7 @@ def locally_soluble_R(f: BinaryForm) -> bool:
 _SQUARE_SCAN_BOUND = 1024
 
 
-def locally_soluble_p(f: BinaryForm, p: int, depth_budget: int | None = None) -> bool:
+def locally_soluble_p(f: BinaryForm, p: int) -> bool:
     """Existence of a primitive Z_p-point on z^2 = f(x, y); Disc(f) != 0 and
     p must be prime (only p >= 2 is checked).  The residue-disk descent
     decides exactly."""
@@ -146,13 +146,12 @@ def locally_soluble_p(f: BinaryForm, p: int, depth_budget: int | None = None) ->
     disc = f.disc
     if disc == 0:
         raise ValueError("Disc(f) = 0")
-    if depth_budget is None:
-        vdisc = 0
-        d = abs(disc)
-        while d % p == 0:
-            d //= p
-            vdisc += 1
-        depth_budget = vdisc + (2 if p == 2 else 0) + f.degree + 4
+    vdisc = 0
+    d = abs(disc)
+    while d % p == 0:
+        d //= p
+        vdisc += 1
+    depth_budget = vdisc + (2 if p == 2 else 0) + f.degree + 4
     affine = [int(c) for c in f.coeffs]  # f(t, 1); f(1, p t) is built only if needed
     if p == 2:
         return _decide_2(affine, 0, depth_budget) or _decide_2(

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 
 from pencilorbits import finite_fields
 from pencilorbits.forms import BinaryForm, is_separable_mod_p
+from pencilorbits.orbits import SymmetricPair, invariant_form
 from pencilorbits.finite_fields import (
     BudgetExceededError,
+    _quartic_key,
     _quartic_pair_table,
     count_pairs_with_form,
     orbit_statistics_prediction,
@@ -324,3 +327,29 @@ def test_quartic_table_matches_permutation_census():
     table = _quartic_pair_table()
     assert table.tolist() == oracle_quartic_pair_table().tolist()
     assert int(table.sum()) == 1 << 20
+
+
+def test_quartic_key_is_the_census_key_of_the_invariant_form():
+    # f mod 2 at the five points of P^1(F_4) must pack like det(Ax - By) in
+    # the census (and its oracle) for every pair (A, B) with invariant form f
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        A, B = (np.triu(rng.integers(0, 2, (4, 4), dtype=np.uint8)) for _ in range(2))
+        A, B = A | A.T, B | B.T
+        f = invariant_form(SymmetricPair(tuple(map(tuple, A.tolist())), tuple(map(tuple, B.tolist()))))
+        dA, dB, dAB = (int(_det4_f2(M)) for M in (A, B, A ^ B))
+        (dl1, dh1), (dl2, dh2) = _det4_f4(B, A), _det4_f4(A ^ B, A)
+        want = (dA << 6) | (dB << 5) | (dAB << 4) | (int(dh1) << 3) | (int(dl1) << 2) | (int(dh2) << 1) | int(dl2)
+        assert _quartic_key(tuple(c % 2 for c in f.coeffs)) == want, f.coeffs
+
+
+def test_quartic_census_peak_allocation():
+    # bincount copies the keys it tallies to intp; 2^15 keys at a time keep
+    # that copy at 256 KB, where one 2^18-key block would need 2 MB
+    tracemalloc.start()
+    try:
+        _quartic_pair_table.__wrapped__()  # a cold build, bypassing the cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20, peak

@@ -11,7 +11,6 @@ from pencilorbits.forms import (
     factorization_type_mod_p,
     height,
     is_separable_mod_p,
-    random_form,
     real_root_count,
     sl2_act,
 )
@@ -120,13 +119,6 @@ def test_separability(rng):
     assert is_separable_mod_p(BinaryForm((1, 1, 1)), 2)
     assert not is_separable_mod_p(BinaryForm((1, 2, 1)), 2)  # (x+y)^2
     assert not is_separable_mod_p(BinaryForm((0, 0, 1)), 5)  # y^2 at (1:0)
-
-
-def test_random_form_contract():
-    assert random_form(2, 0, 9).coeffs == (0, 0, 0)
-    assert random_form(4, 100, 1).coeffs == random_form(4, 100, 1).coeffs
-    f = random_form(4, 100, 1)
-    assert len(f.coeffs) == 5 and height(f) <= 100
 
 
 def test_json_round_trip():

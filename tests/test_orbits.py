@@ -180,6 +180,21 @@ def test_construction_ideal_and_pair_from_ideal(rng):
             assert nI**2 == Fraction(c**2, f.coeffs[0] ** (n - 2))
 
 
+def test_construction_ideal_basis(rng):
+    # (c, theta, ..., theta^((n-2)/2), zeta_(n/2), ..., zeta_(n-1)), alpha = theta
+    for n in (2, 4, 6, 8, 10):
+        f, c = random_form_with_point(n, rng, nonzero_lead=True)
+        I, alpha = construction_ideal(f, c)
+        theta = rings.element_theta(f)
+        powers = [rings.element_one(f)]
+        for _ in range((n - 2) // 2):
+            powers.append(rings.algebra_mul(powers[-1], theta))
+        want = [powers[0] * c, *powers[1:]] + [rings.zeta_element(f, j) for j in range(n // 2, n)]
+        assert I.basis == tuple(want) and alpha == theta
+    with pytest.raises(ValueError):
+        construction_ideal(BinaryForm((0, 3, 4)), 2)  # f0 = 0 would make zeta_1 = f0 theta zero
+
+
 def test_pair_data_expansions_match_one_solve_per_product(rng):
     # _pair_data solves every product from one elimination; the reference
     # converts the target basis and solves afresh for each product

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 
 from pencilorbits import intpoly, realroots
@@ -225,6 +227,15 @@ def test_batch_shape_does_not_change_counts(monkeypatch):
         monkeypatch.setattr(realroots, "CHUNK_ENTRIES", 64)
         assert (count_real_roots_batch(C) == want).all()
         monkeypatch.undo()
+
+
+def test_shift_matrix_binomials():
+    # Pascal's rows give the same correctly rounded binomials as math.comb
+    for n in [*range(65), 200]:
+        T = [[realroots._float(comb(n - k, n - j)) for k in range(n + 1)] for j in range(n + 1)]
+        assert np.array_equal(realroots._shift_matrix(n), np.vstack([T, np.fliplr(T)])), n
+    # from n = 1030 on C(n, n/2) exceeds the float64 range
+    assert np.isinf(realroots._shift_matrix.__wrapped__(1100)).any()
 
 
 def test_differential_script_smoke():
