@@ -75,13 +75,16 @@ def gf_gcd(a, b, mod):
 
 
 def gf_powmod(base, e, modulus, mod):
+    """base^e mod modulus, right to left: bit_length(e) - 1 squarings and
+    popcount(e) multiplications."""
     result = [1]
     base = gf_mod(base, modulus, mod)
     while e:
         if e & 1:
             result = gf_mod(gf_mul(result, base, mod), modulus, mod)
-        base = gf_mod(gf_mul(base, base, mod), modulus, mod)
         e >>= 1
+        if e:
+            base = gf_mod(gf_mul(base, base, mod), modulus, mod)
     return result
 
 

@@ -54,16 +54,6 @@ def mul(p: list, q: list) -> list:
     return out
 
 
-def add(p: list, q: list) -> list:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    off = len(p) - len(q)
-    for i, b in enumerate(q):
-        out[off + i] += b
-    return strip(out)
-
-
 def neg(p: list) -> list:
     return [-c for c in p]
 

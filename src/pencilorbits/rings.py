@@ -14,7 +14,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, lcm
+
+import numpy as np
 
 from . import gfpoly, intpoly
 from .forms import BinaryForm
@@ -424,11 +427,24 @@ def same_square_class(alpha: AlgebraElement, beta: AlgebraElement, trials: int =
     DISTINCT is certain: witnessed by a real root of f(x, 1) where
     gamma = alpha*beta is negative (two Tarski queries: TaQ(G, f) < TaQ(1, f)),
     or by a residue field at a good prime where gamma is not a square.  At
-    each of the `trials` smallest odd primes of good reduction, each
-    distinct-degree product g_d of f mod p is tested once: by the Chinese
-    remainder theorem, gamma^((p^d - 1)/2) = 1 mod g_d iff gamma is a square
-    in every residue field of degree d.  EQUAL after `trials` consistent
-    primes is heuristic.  Deterministic.
+    each of the `trials` smallest odd primes p of good reduction, with fbar
+    the monic reduction of f(x, 1) mod p, each distinct-degree product g_d of
+    fbar is tested once: by the Chinese remainder theorem,
+    gamma^((p^d - 1)/2) = 1 mod g_d iff gamma is a square in every residue
+    field of degree d.  EQUAL after `trials` consistent primes is heuristic.
+    Deterministic.
+
+    Both the distinct-degree powers x^(p^d) and the test powers come from
+    the Frobenius map sigma(v) = v^p, which is F_p-linear on
+    A_p = F_p[x]/(fbar): with Q_p the matrix whose column j is x^(jp) mod
+    fbar (Berlekamp's Q-matrix), x^(p^d) = Q_p x^(p^(d-1)), and
+    gamma^((p^d - 1)/2) = u sigma(gamma^((p^(d-1) - 1)/2)) with
+    u = gamma^((p-1)/2), since (p^d - 1)/2 = (p - 1)/2 + p (p^(d-1) - 1)/2.
+    The primes are taken in chunks of 1, 4, 16, ... (so a DISTINCT verdict
+    still stops early), each computed as one int64 batch of at most
+    `CHUNK_ENTRIES` / n^3 primes, which needs n (p - 1)^2 < 2^63 (else
+    ValueError); the distinct-degree gcds and the tests then run prime by
+    prime, in order.
     """
     f = alpha.form
     if beta.form != f:
@@ -449,19 +465,110 @@ def same_square_class(alpha: AlgebraElement, beta: AlgebraElement, trials: int =
     if intpoly.tarski_query(funiv, G) < intpoly.tarski_query(funiv, [1]):
         return SquareClassVerdict.DISTINCT
 
-    bad = abs(f.coeffs[0] * disc * D * res)
-    p, used = 1, 0
+    primes = _good_primes(abs(f.coeffs[0] * disc * D * res))
+    cap = max(1, CHUNK_ENTRIES // f.degree**3)
+    used, size = 0, 1
     while used < trials:
-        p += 2
-        if bad % p == 0 or not is_prime(p):
-            continue
-        used += 1
-        reduced = gfpoly.gf_monic(gfpoly.normalize(funiv, p), p)
-        if len(gfpoly.gf_gcd(reduced, gfpoly.gf_derivative(reduced, p), p)) > 1:
-            raise ArithmeticError(f"f has a repeated factor mod the good prime {p}")
-        dinv = pow(D % p, -1, p)
-        gmod = [c * dinv % p for c in gfpoly.normalize(G, p)]
-        for d, g in gfpoly.distinct_degree_factorization(reduced, p):
-            if gfpoly.gf_powmod(gmod, (p**d - 1) // 2, g, p) != [1]:
+        chunk = list(islice(primes, min(size, cap, trials - used)))
+        used += len(chunk)
+        size *= 4
+        reduced, gmods = [], []
+        for p in chunk:
+            reduced.append(gfpoly.gf_monic(gfpoly.normalize(funiv, p), p))
+            dinv = pow(D % p, -1, p)
+            gmods.append([c * dinv % p for c in gfpoly.normalize(G, p)])
+        H, T = _frobenius_powers(reduced, gmods, chunk)
+        for p, fbar, Hp, Tp in zip(chunk, reduced, H.tolist(), T.tolist()):
+            if len(gfpoly.gf_gcd(fbar, gfpoly.gf_derivative(fbar, p), p)) > 1:
+                raise ArithmeticError(f"f has a repeated factor mod the good prime {p}")
+            if not _squares_in_every_class(fbar, Hp, Tp, p):
                 return SquareClassVerdict.DISTINCT
     return SquareClassVerdict.EQUAL if used else SquareClassVerdict.INCONCLUSIVE
+
+
+# A chunk of P primes makes batched n x n matrix products of P n^3
+# multiply-adds; keeping that at 2^18 keeps each numpy call small
+CHUNK_ENTRIES = 1 << 18
+
+
+def _good_primes(bad: int):
+    """The odd primes not dividing `bad`, in increasing order."""
+    p = 1
+    while True:
+        p += 2
+        if bad % p and is_prime(p):
+            yield p
+
+
+def _frobenius_powers(reduced, gmods, primes):
+    """For each prime p of a chunk, with fbar = reduced[k] monic of degree n
+    and gamma = gmods[k] of degree < n (descending lists mod p), the arrays
+    H[k, d-1] = x^(p^d) for d = 1..n//2 and T[k, d-1] = gamma^((p^d - 1)/2)
+    for d = 1..n, in A_p = F_p[x]/(fbar) with ascending coefficients.
+
+    Elements act by their multiplication matrices: C for x (the companion
+    matrix) and gamma(C), whose column j is C^j gamma.  Every product is
+    reduced mod p at once, so each of its entries sums at most n nonzero
+    products of residues; hence the int64 bound n (p - 1)^2 < 2^63."""
+    n = len(reduced[0]) - 1
+    if n * (max(primes) - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"n (p - 1)^2 overflows int64 at p = {max(primes)}")
+    P = len(primes)
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    C = np.zeros((P, n, n), dtype=np.int64)
+    C[:, 1:, :-1] = np.eye(n - 1, dtype=np.int64)
+    C[:, :, -1] = [[-c % q for c in fbar[:0:-1]] for q, fbar in zip(primes, reduced)]
+    one = np.zeros((P, n, 1), dtype=np.int64)
+    one[:, 0] = 1
+    gamma = np.zeros((P, n, 1), dtype=np.int64)
+    for k, g in enumerate(gmods):
+        gamma[k, : len(g), 0] = g[::-1]
+
+    def krylov(M, v):  # columns v, M v, ..., M^(n-1) v, by doubling
+        K = v
+        while K.shape[2] < n:
+            K = np.concatenate([K, M @ K % p], axis=2)
+            M = M @ M % p
+        return K[:, :, :n]
+
+    # the matrices of x^p and u = gamma^((p - 1)/2), one square-and-multiply
+    # on the pair; bit i of (p - 1)/2 is bit i + 1 of p
+    base = np.stack([C, krylov(C, gamma)], axis=1)
+    acc = np.broadcast_to(np.eye(n, dtype=np.int64), base.shape)
+    pp = p[..., None]
+    for i in range(max(primes).bit_length()):
+        if i:
+            base = base @ base % pp
+        bits = [[q >> i & 1, q >> i + 1 & 1] for q in primes]
+        if any(map(any, bits)):
+            acc = np.where(np.array(bits, dtype=bool)[..., None, None], acc @ base % pp, acc)
+    # the Frobenius matrix Q (column j is x^(jp)) maps x^(p^(d-1)) to
+    # x^(p^d), and u Q maps gamma^((p^(d-1) - 1)/2) to gamma^((p^d - 1)/2)
+    Q = krylov(acc[:, 0], one)
+    step = np.zeros((P, 2 * n, 2 * n), dtype=np.int64)
+    step[:, :n, :n] = Q
+    step[:, n:, n:] = acc[:, 1] @ Q % p
+    y = np.concatenate([C[:, :, :1], one], axis=1)  # (x, 1), the pair at d = 0
+    out = np.empty((P, n, 2 * n), dtype=np.int64)
+    for d in range(n):
+        y = step @ y % p
+        out[:, d] = y[..., 0]
+    return out[:, : n // 2, :n], out[:, :, n:]
+
+
+def _squares_in_every_class(fbar, H, T, p) -> bool:
+    """The distinct-degree loop on fbar with the chunk's powers (ascending
+    lists): g_d = gcd(x^(p^d) - x, v), v <- v / g_d, and the test
+    gamma^((p^d - 1)/2) = 1 mod g_d on each class found, including the last
+    one, of degree deg v.  As g_d divides fbar, reducing the powers mod fbar
+    first changes no remainder."""
+    v = fbar
+    d = 0
+    while len(v) - 1 >= 2 * (d + 1):
+        d += 1
+        g = gfpoly.gf_gcd(gfpoly.add_mod(H[d - 1][::-1], [p - 1, 0], p), v, p)
+        if len(g) > 1:
+            if gfpoly.gf_mod(gfpoly.normalize(T[d - 1][::-1], p), g, p) != [1]:
+                return False
+            v, _ = gfpoly.gf_divmod(v, g, p)
+    return len(v) == 1 or gfpoly.gf_mod(gfpoly.normalize(T[len(v) - 2][::-1], p), v, p) == [1]

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from pencilorbits import gfpoly
+from pencilorbits import gfpoly, intpoly
 from pencilorbits.forms import BinaryForm, UnimodularMatrix2, discriminant, evaluate, random_nondegenerate_form
-from pencilorbits.numutil import isqrt_exact
+from pencilorbits.numutil import is_prime, isqrt_exact
 from pencilorbits.orbits import CurvePoint
+from pencilorbits.rings import SquareClassVerdict, algebra_mul
 from pencilorbits.search import DescentBudgetError
 
 random_nondegenerate = random_nondegenerate_form  # the library's sampler, under the tests' name
@@ -172,3 +173,41 @@ def unit_square_value_oracle(hbar: list[int], p: int) -> bool:
     if any(j % 2 for _, j in gfpoly.squarefree_decomposition(hbar, p)):
         return True
     return pow(hbar[0], (p - 1) // 2, p) == 1
+
+
+def serial_square_class(alpha, beta, trials: int = 50) -> SquareClassVerdict:
+    """Reference for rings.same_square_class: the same real witness and the
+    same checks, then one prime at a time, a distinct-degree factorization
+    of fbar (the monic reduction of f(x, 1) mod p) and one `gf_powmod` test
+    gamma^((p^d - 1)/2) = 1 mod g_d per distinct-degree product g_d."""
+    f = alpha.form
+    if beta.form != f:
+        raise ValueError("elements belong to different algebras")
+    G, D = algebra_mul(alpha, beta).numerator_poly()
+    if not G:
+        raise ZeroDivisionError("elements must be invertible")
+    disc = f.disc
+    if disc == 0:
+        raise ValueError("Disc(f) = 0")
+    funiv = f.univariate()
+    res = intpoly.resultant(funiv, G)
+    if res == 0:
+        raise ZeroDivisionError("elements must be invertible")
+    if intpoly.tarski_query(funiv, G) < intpoly.tarski_query(funiv, [1]):
+        return SquareClassVerdict.DISTINCT
+    bad = abs(f.coeffs[0] * disc * D * res)
+    p, used = 1, 0
+    while used < trials:
+        p += 2
+        if bad % p == 0 or not is_prime(p):
+            continue
+        used += 1
+        reduced = gfpoly.gf_monic(gfpoly.normalize(funiv, p), p)
+        if len(gfpoly.gf_gcd(reduced, gfpoly.gf_derivative(reduced, p), p)) > 1:
+            raise ArithmeticError(f"f has a repeated factor mod the good prime {p}")
+        dinv = pow(D % p, -1, p)
+        gmod = [c * dinv % p for c in gfpoly.normalize(G, p)]
+        for d, g in gfpoly.distinct_degree_factorization(reduced, p):
+            if gfpoly.gf_powmod(gmod, (p**d - 1) // 2, g, p) != [1]:
+                return SquareClassVerdict.DISTINCT
+    return SquareClassVerdict.EQUAL if used else SquareClassVerdict.INCONCLUSIVE

@@ -85,3 +85,21 @@ def test_equal_degree_split_rejects_p2():
     # the Cantor-Zassenhaus exponent (p^d - 1) / 2 never splits at p = 2
     with pytest.raises(ValueError):
         gfpoly.equal_degree_split([1, 1, 0], 1, 2, random.Random(0))
+
+
+def test_gf_powmod_matches_repeated_multiplication(monkeypatch):
+    # right to left with no squaring after the top bit: bit_length(e) - 1
+    # squarings and popcount(e) products, so 10 gf_mul calls at e = 101
+    rnd = random.Random(12)
+    calls = []
+    mul = gfpoly.gf_mul
+    monkeypatch.setattr(gfpoly, "gf_mul", lambda a, b, p: calls.append(1) or mul(a, b, p))
+    for p, modulus in ((7, [3, 5]), (7, [1, 0, 1]), (5, [2, 1, 0, 3, 1]), (13, [1, 4, 0, 0, 7, 2, 1])):
+        for e in [0, 1, 2, 101] + [rnd.randrange(3, 400) for _ in range(8)]:
+            base = gfpoly.normalize([rnd.randrange(p) for _ in range(6)], p)
+            want = [1]
+            for _ in range(e):
+                want = gfpoly.gf_mod(mul(want, base, p), modulus, p)
+            calls.clear()
+            assert gfpoly.gf_powmod(base, e, modulus, p) == want, (p, modulus, e)
+            assert len(calls) == max(e.bit_length() - 1, 0) + bin(e).count("1")

@@ -89,21 +89,25 @@ def _prod(factors):
     return out
 
 
+def _plus_constant(p, s):
+    return p[:-1] + [p[-1] + s]
+
+
 def _families():
     near_double = [
-        intpoly.add(intpoly.mul([M], _prod([[1, -a], [1, -a], q])), [s])
+        _plus_constant(intpoly.mul([M], _prod([[1, -a], [1, -a], q])), s)
         for a in (1, 2, 3, 5)
         for q in ([1, 0, 1], [1, 1, 2], [1, 0, 0, 0, 3], [2, 0, 1, 0, 0, 1])
         for M in (1, 10**3, 10**6, 10**9)
         for s in (1, -1)
     ]
     mignotte = [
-        intpoly.add([1] + [0] * n, intpoly.mul([-2], _prod([[a, -1], [a, -1]])))
+        [1] + [0] * (n - 3) + [-2 * a * a, 4 * a, -2]  # x^n - 2 (a x - 1)^2
         for n in range(4, 23, 2)
         for a in (3, 10, 100, 1000)
     ]
     clustered = [_prod([[1, -k] for k in range(1, m + 1)]) for m in range(2, 13)]
-    clustered += [intpoly.add(w, [s]) for w in clustered for s in (1, -1)]
+    clustered += [_plus_constant(w, s) for w in clustered for s in (1, -1)]
     # rows with a real multiple root; the stage may not certify them
     real_multiple = [
         _prod([[1, -1], [1, -1], [1, 3]]),

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from pencilorbits.rings import (
     to_zeta_coords,
     zeta_element,
 )
-from conftest import factor, random_nondegenerate
+from conftest import factor, random_nondegenerate, serial_square_class
 
 
 def test_structure_constants_examples():
@@ -269,29 +270,33 @@ def test_same_square_class_witness_inside_one_ddf_class():
     assert same_square_class(rings.element_one(f), gamma, trials=1) == SquareClassVerdict.DISTINCT
 
 
-def _reference_residue_verdict(alpha, beta, trials):
-    """Per-irreducible-factor residue test with the `factor` oracle, for
-    forms without real roots (where no real witness exists)."""
+def _reference_witness(alpha, beta, trials):
+    """Index of the first of the `trials` smallest good primes where the
+    per-irreducible-factor residue test with the `factor` oracle finds gamma
+    a non-square, or None; for forms without real roots (where no real
+    witness exists) same_square_class is DISTINCT iff this is not None."""
     f = alpha.form
     G, D = algebra_mul(alpha, beta).numerator_poly()
     bad = abs(f.coeffs[0] * f.disc * D * intpoly.resultant(f.univariate(), G))
-    primes = [p for p in range(3, 10_000, 2) if bad % p and is_prime(p)][:trials]
-    for p in primes:
+    primes = (p for p in itertools.count(3, 2) if bad % p and is_prime(p))
+    for k, p in enumerate(itertools.islice(primes, trials)):
         w = [c * pow(D, -1, p) % p for c in gfpoly.normalize(G, p)]
         for h, _ in factor(f.univariate(), p):
             if gfpoly.gf_powmod(w, (p ** (len(h) - 1) - 1) // 2, h, p) != [1]:
-                return SquareClassVerdict.DISTINCT
-    return SquareClassVerdict.EQUAL
+                return k
+    return None
 
 
 def test_same_square_class_matches_per_factor_reference():
-    # f a product of positive definite quadratics, so factors of equal degree
-    # mod p are common; beta is a square times alpha in a third of the cases
+    # f a product of two to five positive definite quadratics (n = 4..10, no
+    # real root, so only residue fields witness), where factors of equal
+    # degree mod p are common; beta is a square times alpha in a third of the
+    # cases.  The trials straddle the chunk edges 1, 5 and 21.
     rng = random.Random(7)
     seen = set()
-    for _ in range(60):
+    for _ in range(40):
         c = [1]
-        for _ in range(rng.choice([2, 3])):
+        for _ in range(rng.choice([2, 3, 4, 5])):
             b = rng.randint(-3, 3)
             c = intpoly.mul(c, [rng.randint(1, 2), b, b * b + rng.randint(1, 6)])
         f = BinaryForm(tuple(c))
@@ -305,7 +310,75 @@ def test_same_square_class_matches_per_factor_reference():
         G, _ = algebra_mul(alpha, beta).numerator_poly()
         if not G or intpoly.resultant(f.univariate(), G) == 0:
             continue
-        want = _reference_residue_verdict(alpha, beta, 8)
-        assert same_square_class(alpha, beta, trials=8) == want, (f, alpha, beta)
-        seen.add(want)
-    assert seen == {SquareClassVerdict.EQUAL, SquareClassVerdict.DISTINCT}
+        witness = _reference_witness(alpha, beta, 50)
+        for trials in (1, 2, 5, 6, 21, 22, 50):
+            distinct = witness is not None and witness < trials
+            want = SquareClassVerdict.DISTINCT if distinct else SquareClassVerdict.EQUAL
+            assert same_square_class(alpha, beta, trials=trials) == want, (f, alpha, beta, trials)
+            seen.add((n, want))
+    assert {v for _, v in seen} == {SquareClassVerdict.EQUAL, SquareClassVerdict.DISTINCT}
+    assert {n for n, _ in seen} == {4, 6, 8, 10}
+
+
+def _record_chunks(monkeypatch):
+    chunks = []
+    kernel = rings._frobenius_powers
+
+    def recording(reduced, gmods, primes):
+        chunks.append(list(primes))
+        return kernel(reduced, gmods, primes)
+
+    monkeypatch.setattr(rings, "_frobenius_powers", recording)
+    return chunks
+
+
+def test_same_square_class_witness_in_third_chunk(monkeypatch):
+    # In Q(i) the integer 26 is a square in F_(p^2) at every p = 3 mod 4 and
+    # in F_p = 5 and 17; the first witness is 29, the good prime of index 7
+    # (13 divides Res(x^2 + 1, 26)), which lies in the third chunk (5..20)
+    f = BinaryForm((1, 0, 1))
+    one, beta = rings.element_one(f), rings._coerce(f, 26)
+    assert same_square_class(one, beta, trials=7) == SquareClassVerdict.EQUAL
+    assert same_square_class(one, beta, trials=8) == SquareClassVerdict.DISTINCT
+    chunks = _record_chunks(monkeypatch)
+    assert same_square_class(one, beta, trials=50) == SquareClassVerdict.DISTINCT
+    assert [len(c) for c in chunks] == [1, 4, 16]
+    assert [p for c in chunks for p in c][7] == 29
+    assert serial_square_class(one, beta, trials=50) == SquareClassVerdict.DISTINCT
+
+
+def test_same_square_class_chunk_sizes(monkeypatch):
+    # an EQUAL verdict at n = 10 visits all 200 primes in chunks of
+    # 1, 4, 16, 64 and the rest, each at most CHUNK_ENTRIES = 2^18 entries
+    f = BinaryForm((1, 0, 3, 0, 5, 1, 7, 0, 2, 0, 9))
+    alpha = AlgebraElement(f, tuple(Fraction(k - 4, 3) for k in range(10)))
+    chunks = _record_chunks(monkeypatch)
+    assert same_square_class(alpha, alpha, trials=200) == SquareClassVerdict.EQUAL
+    assert [len(c) for c in chunks] == [1, 4, 16, 64, 115]
+    assert all(len(c) * 10**3 <= 1 << 18 for c in chunks)
+    monkeypatch.setattr(rings, "CHUNK_ENTRIES", 10 * 10**3)
+    chunks.clear()
+    assert same_square_class(alpha, alpha, trials=30) == SquareClassVerdict.EQUAL
+    assert [len(c) for c in chunks] == [1, 4, 10, 10, 5]
+
+
+def test_frobenius_powers_int64_bound():
+    # n (p - 1)^2 < 2^63 holds at p = 2^31 - 1 for n = 2, and the powers
+    # agree with gf_powmod there; the next prime, 2^31 + 11, is refused
+    p = (1 << 31) - 1
+    fbar, gamma = [1, 5, 3], [7, 2]
+    H, T = rings._frobenius_powers([fbar], [gamma], [p])
+    assert H[0, 0].tolist()[::-1] == gfpoly.gf_powmod([1, 0], p, fbar, p)
+    for d in (1, 2):
+        want = gfpoly.gf_powmod(gamma, (p**d - 1) // 2, fbar, p)
+        assert gfpoly.normalize(T[0, d - 1].tolist()[::-1], p) == want
+    assert is_prime((1 << 31) + 11)
+    with pytest.raises(ValueError):
+        rings._frobenius_powers([fbar], [gamma], [(1 << 31) + 11])
+
+
+def test_differential_square_class_smoke(capsys):
+    from differential_square_class import main
+
+    assert main(["--cases", "12", "--trials", "22"]) == 0  # 60 pairs over n = 2..10
+    assert "total: 0 disagreements" in capsys.readouterr().out

@@ -165,7 +165,7 @@ def test_weil_shortcut_needs_large_prime():
     # 1031 divides Disc f != 0, and f mod 1031 has degree 32 > sqrt(1031) - 2,
     # too high for the Weil bound to promise a square value
     square_times_g = intpoly.mul(intpoly.mul([1, -1], [1, -1]), [1] + [0] * 28 + [2, 3])
-    f = BinaryForm(tuple(intpoly.add(square_times_g, [1031] + [0] * 31 + [1031 * 5])))
+    f = BinaryForm((square_times_g[0] + 1031, *square_times_g[1:-1], square_times_g[-1] + 1031 * 5))
     disc = discriminant(f)
     assert disc != 0 and disc % 1031 == 0
     assert locally_soluble_p(f, 1031) is True
