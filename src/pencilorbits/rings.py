@@ -441,10 +441,9 @@ def same_square_class(alpha: AlgebraElement, beta: AlgebraElement, trials: int =
     gamma^((p^d - 1)/2) = u sigma(gamma^((p^(d-1) - 1)/2)) with
     u = gamma^((p-1)/2), since (p^d - 1)/2 = (p - 1)/2 + p (p^(d-1) - 1)/2.
     The primes are taken in chunks of 1, 4, 16, ... (so a DISTINCT verdict
-    still stops early), each computed as one int64 batch of at most
-    `CHUNK_ENTRIES` / n^3 primes, which needs n (p - 1)^2 < 2^63 (else
-    ValueError); the distinct-degree gcds and the tests then run prime by
-    prime, in order.
+    at an early prime still stops early), each computed as one int64 batch,
+    which needs n (p - 1)^2 < 2^63 (else ValueError); the distinct-degree
+    gcds and the tests then run prime by prime, in order.
     """
     f = alpha.form
     if beta.form != f:
@@ -466,10 +465,9 @@ def same_square_class(alpha: AlgebraElement, beta: AlgebraElement, trials: int =
         return SquareClassVerdict.DISTINCT
 
     primes = _good_primes(abs(f.coeffs[0] * disc * D * res))
-    cap = max(1, CHUNK_ENTRIES // f.degree**3)
     used, size = 0, 1
     while used < trials:
-        chunk = list(islice(primes, min(size, cap, trials - used)))
+        chunk = list(islice(primes, min(size, trials - used)))
         used += len(chunk)
         size *= 4
         reduced, gmods = [], []
@@ -484,11 +482,6 @@ def same_square_class(alpha: AlgebraElement, beta: AlgebraElement, trials: int =
             if not _squares_in_every_class(fbar, Hp, Tp, p):
                 return SquareClassVerdict.DISTINCT
     return SquareClassVerdict.EQUAL if used else SquareClassVerdict.INCONCLUSIVE
-
-
-# A chunk of P primes makes batched n x n matrix products of P n^3
-# multiply-adds; keeping that at 2^18 keeps each numpy call small
-CHUNK_ENTRIES = 1 << 18
 
 
 def _good_primes(bad: int):

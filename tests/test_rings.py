@@ -349,17 +349,12 @@ def test_same_square_class_witness_in_third_chunk(monkeypatch):
 
 def test_same_square_class_chunk_sizes(monkeypatch):
     # an EQUAL verdict at n = 10 visits all 200 primes in chunks of
-    # 1, 4, 16, 64 and the rest, each at most CHUNK_ENTRIES = 2^18 entries
+    # 1, 4, 16, 64 and the rest
     f = BinaryForm((1, 0, 3, 0, 5, 1, 7, 0, 2, 0, 9))
     alpha = AlgebraElement(f, tuple(Fraction(k - 4, 3) for k in range(10)))
     chunks = _record_chunks(monkeypatch)
     assert same_square_class(alpha, alpha, trials=200) == SquareClassVerdict.EQUAL
     assert [len(c) for c in chunks] == [1, 4, 16, 64, 115]
-    assert all(len(c) * 10**3 <= 1 << 18 for c in chunks)
-    monkeypatch.setattr(rings, "CHUNK_ENTRIES", 10 * 10**3)
-    chunks.clear()
-    assert same_square_class(alpha, alpha, trials=30) == SquareClassVerdict.EQUAL
-    assert [len(c) for c in chunks] == [1, 4, 10, 10, 5]
 
 
 def test_frobenius_powers_int64_bound():
