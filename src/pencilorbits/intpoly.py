@@ -17,13 +17,6 @@ def strip(p: list) -> list:
     return p[i:]
 
 
-def evaluate(p: list, x):
-    acc = 0
-    for c in p:
-        acc = acc * x + c
-    return acc
-
-
 def evaluate_binary(coeffs: list, x, y):
     """Homogeneous evaluation: sum coeffs[i] * x^(n-i) * y^i."""
     n = len(coeffs) - 1

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 
 def primes_upto(n: int) -> list[int]:
@@ -90,6 +91,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
+@lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
     """Primality of n.  Proven below psi_13 = 3.3e24, where Miller-Rabin with
     the bases 2..41 is deterministic (2..37 alone already fail at psi_12 =
@@ -214,8 +216,9 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
         basis.append(piv)
         mat = rest
         col += 1
-    # reduce entries above pivots
-    for i in reversed(range(len(basis))):
+    # reduce entries above pivots, in increasing pivot order: row i changes
+    # only the columns from its pivot on, so earlier pivot columns stay reduced
+    for i in range(len(basis)):
         pcol = next(j for j, x in enumerate(basis[i]) if x != 0)
         for k in range(i):
             q = basis[k][pcol] // basis[i][pcol]

@@ -61,12 +61,6 @@ class AlgebraElement:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        return isinstance(other, AlgebraElement) and self.form == other.form and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.form.coeffs, self.coords))
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
@@ -94,10 +88,7 @@ def element_one(f: BinaryForm) -> AlgebraElement:
 
 
 def element_theta(f: BinaryForm) -> AlgebraElement:
-    n = f.degree
-    coords = [Fraction(0)] * n
-    coords[1] = Fraction(1)
-    return AlgebraElement(f, tuple(coords))
+    return linear_element(f, 1, 0)
 
 
 def linear_element(f: BinaryForm, a, b) -> AlgebraElement:
@@ -208,20 +199,8 @@ def zeta_element(f: BinaryForm, k: int) -> AlgebraElement:
 
 
 def to_zeta_coords(u: AlgebraElement) -> tuple[Fraction, ...]:
-    """Coordinates of u on (1, zeta_1, ..., zeta_(n-1)); exact triangular solve."""
-    f = u.form
-    n = f.degree
-    f0 = f.coeffs[0]
-    Z = _zeta_matrix(f.coeffs)
-    coords = list(u.coords)
-    out = [Fraction(0)] * n
-    for k in range(n - 1, 0, -1):
-        out[k] = coords[k] / f0
-        if out[k]:
-            for j in range(1, k + 1):
-                coords[j] -= out[k] * Z[j][k]
-    out[0] = coords[0]
-    return tuple(out)
+    """Coordinates of u on (1, zeta_1, ..., zeta_(n-1))."""
+    return tuple(solve(_zeta_matrix(u.form.coeffs), u.coords))
 
 
 @dataclass(frozen=True)
@@ -370,17 +349,18 @@ def ideal_inverse_power(f: BinaryForm) -> BasedIdeal:
 
 
 def ideal_norm(I: BasedIdeal) -> Fraction:
-    """|det| of the transition matrix from the ideal basis to the R_f basis."""
-    d = det([to_zeta_coords(b) for b in I.basis])
+    """|det| of the transition matrix from the ideal basis to the R_f basis:
+    the power-basis determinant over det(_zeta_matrix) = f0^(n-1)."""
+    d = det([b.coords for b in I.basis])
     if d == 0:
         raise ValueError("basis is linearly dependent")
-    return abs(Fraction(d))
+    return abs(Fraction(d) / I.form.coeffs[0] ** (I.form.degree - 1))
 
 
-def _span_canonical(f: BinaryForm, elements) -> tuple:
-    """Canonical form of the Z-span of the given elements (HNF over Z after
-    clearing denominators), for span comparisons."""
-    rows = [to_zeta_coords(e) for e in elements]
+def _span_canonical(elements) -> tuple:
+    """Canonical form of the Z-span of the given elements (HNF over Z of
+    power-basis coordinates after clearing denominators), for comparisons."""
+    rows = [e.coords for e in elements]
     den = 1
     for r in rows:
         for c in r:
@@ -396,15 +376,14 @@ def _span_canonical(f: BinaryForm, elements) -> tuple:
 
 
 def spans_equal(f: BinaryForm, elems_a, elems_b) -> bool:
-    return _span_canonical(f, elems_a) == _span_canonical(f, elems_b)
+    return _span_canonical(elems_a) == _span_canonical(elems_b)
 
 
 def expansions_in_basis(I: BasedIdeal, elements) -> list[tuple[Fraction, ...]]:
-    """Coordinates of each element on the ordered basis of I: the basis is
-    converted once and all elements are solved from one exact elimination."""
-    cols = [to_zeta_coords(b) for b in I.basis]
-    rhs = [to_zeta_coords(u) for u in elements]
-    return [tuple(x) for x in solve_columns(list(zip(*cols)), rhs)]
+    """Coordinates of each element on the ordered basis of I, all solved
+    from one exact elimination on power-basis coordinates."""
+    cols = [b.coords for b in I.basis]
+    return [tuple(x) for x in solve_columns(list(zip(*cols)), [u.coords for u in elements])]
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +411,7 @@ def same_square_class(alpha: AlgebraElement, beta: AlgebraElement, trials: int =
     fbar is tested once: by the Chinese remainder theorem,
     gamma^((p^d - 1)/2) = 1 mod g_d iff gamma is a square in every residue
     field of degree d.  EQUAL after `trials` consistent primes is heuristic.
-    Deterministic.
+    Deterministic.  A good prime divides neither f0 nor Disc(f): fbar is squarefree.
 
     Both the distinct-degree powers x^(p^d) and the test powers come from
     the Frobenius map sigma(v) = v^p, which is F_p-linear on
@@ -442,8 +421,8 @@ def same_square_class(alpha: AlgebraElement, beta: AlgebraElement, trials: int =
     u = gamma^((p-1)/2), since (p^d - 1)/2 = (p - 1)/2 + p (p^(d-1) - 1)/2.
     The primes are taken in chunks of 1, 4, 16, ... (so a DISTINCT verdict
     at an early prime still stops early), each computed as one int64 batch,
-    which needs n (p - 1)^2 < 2^63 (else ValueError); the distinct-degree
-    gcds and the tests then run prime by prime, in order.
+    which needs n (p - 1)^2 < 2^63 (else ValueError); gfpoly's
+    distinct-degree loop and the tests then run prime by prime, in order.
     """
     f = alpha.form
     if beta.form != f:
@@ -477,9 +456,8 @@ def same_square_class(alpha: AlgebraElement, beta: AlgebraElement, trials: int =
             gmods.append([c * dinv % p for c in gfpoly.normalize(G, p)])
         H, T = _frobenius_powers(reduced, gmods, chunk)
         for p, fbar, Hp, Tp in zip(chunk, reduced, H.tolist(), T.tolist()):
-            if len(gfpoly.gf_gcd(fbar, gfpoly.gf_derivative(fbar, p), p)) > 1:
-                raise ArithmeticError(f"f has a repeated factor mod the good prime {p}")
-            if not _squares_in_every_class(fbar, Hp, Tp, p):
+            classes = gfpoly.distinct_degree_classes(fbar, (h[::-1] for h in Hp), p)
+            if any(gfpoly.gf_mod(gfpoly.normalize(Tp[d - 1][::-1], p), g, p) != [1] for d, g in classes):
                 return SquareClassVerdict.DISTINCT
     return SquareClassVerdict.EQUAL if used else SquareClassVerdict.INCONCLUSIVE
 
@@ -548,20 +526,3 @@ def _frobenius_powers(reduced, gmods, primes):
         out[:, d] = y[..., 0]
     return out[:, : n // 2, :n], out[:, :, n:]
 
-
-def _squares_in_every_class(fbar, H, T, p) -> bool:
-    """The distinct-degree loop on fbar with the chunk's powers (ascending
-    lists): g_d = gcd(x^(p^d) - x, v), v <- v / g_d, and the test
-    gamma^((p^d - 1)/2) = 1 mod g_d on each class found, including the last
-    one, of degree deg v.  As g_d divides fbar, reducing the powers mod fbar
-    first changes no remainder."""
-    v = fbar
-    d = 0
-    while len(v) - 1 >= 2 * (d + 1):
-        d += 1
-        g = gfpoly.gf_gcd(gfpoly.add_mod(H[d - 1][::-1], [p - 1, 0], p), v, p)
-        if len(g) > 1:
-            if gfpoly.gf_mod(gfpoly.normalize(T[d - 1][::-1], p), g, p) != [1]:
-                return False
-            v, _ = gfpoly.gf_divmod(v, g, p)
-    return len(v) == 1 or gfpoly.gf_mod(gfpoly.normalize(T[len(v) - 2][::-1], p), v, p) == [1]

@@ -20,7 +20,6 @@ monic h directly, and then it is whether c is a square.  At p = 2 a disk is
 decided once its values are constant modulo 8 times the valuation part.
 """
 
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import gfpoly
 from .forms import BinaryForm, evaluate, random_nondegenerate_form, real_root_count
-from .numutil import factorize, isqrt_exact, primes_upto
+from .numutil import factorize, is_prime, isqrt_exact, primes_upto
 from .orbits import CurvePoint
 
 
@@ -75,37 +74,27 @@ def rational_point_search(f: BinaryForm, B: int) -> CurvePoint | None:
 
 
 def _point_search_loop(f: BinaryForm, B: int) -> CurvePoint | None:
-    """The candidates of rational_point_search one by one, on Python ints."""
-    for h in range(1, B + 1):
-        # primitive pairs with max(|x|, |y|) = h, y > 0 half (points are
-        # projective and n is even, so (x, y) ~ (-x, -y))
-        for x, y in _height_ring(h):
-            if math.gcd(x, y) != 1:
-                continue
+    """The candidates of rational_point_search, block by block in the same
+    order, one Python-int evaluation per pair."""
+    end = 2 * B * (B + 1)
+    for start in range(0, end, _BLOCK):
+        xs, ys = _candidate_pairs(start, min(start + _BLOCK, end)).tolist()
+        for x, y in zip(xs, ys):
             z = isqrt_exact(evaluate(f, x, y))
             if z is not None:
                 return CurvePoint(x, y, z)
     return None
 
 
-def _height_ring(h: int):
-    # x fanned out from 0 so (0, 1) is the first candidate at height 1
-    yield 0, h
-    for x in range(1, h + 1):
-        yield x, h
-        yield -x, h
-    for y in range(h - 1, 0, -1):
-        yield h, y
-        yield -h, y
-    yield h, 0  # primitive only when h = 1; the gcd filter handles it
-
-
-@lru_cache(maxsize=4)  # a survey at a fixed bound B <= 90 reuses one block
-def _candidate_block(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primitive pairs among the raw candidates start..stop - 1 of the
-    concatenated `_height_ring` sequences (ring h starts at 2h(h - 1)), as a
-    (2, K) int64 array, and their monomials x^(n-i) y^i as an (n + 1, K)
-    int64 matrix.  Read-only: the cache hands the same arrays to every call."""
+@lru_cache(maxsize=4)
+def _candidate_pairs(start: int, stop: int) -> np.ndarray:
+    """The primitive pairs among the raw candidates start..stop - 1, as a
+    (2, K) int64 array.  The raw candidates run ring by ring: ring h holds
+    the 4h pairs with max(|x|, |y|) = h and y >= 0 (points are projective
+    and n is even, so (x, y) ~ (-x, -y)) and starts at 2h(h - 1); within
+    it, (0, h), (1, h), (-1, h), ..., (h, h), (-h, h), then (h, h - 1),
+    (-h, h - 1), ..., (h, 1), (-h, 1), (h, 0), so (0, 1) comes first.
+    Read-only: the cache hands the same array to every call."""
     g = np.arange(start, stop, dtype=np.int64)
     h = ((1 + np.sqrt(1 + 2 * g.astype(np.float64))) / 2).astype(np.int64)
     h -= 2 * h * (h - 1) > g  # exact integer correction of the float estimate
@@ -116,12 +105,20 @@ def _candidate_block(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndar
     x = np.where(top, np.where(i % 2 == 1, 1, -1) * ((i + 1) // 2), np.where(j % 2 == 0, h, -h))
     y = np.where(top, h, h - 1 - j // 2)
     keep = np.gcd(x, y) == 1
-    x, y = x[keep], y[keep]
-    monomials = np.empty((n + 1, len(x)), dtype=np.int64)
+    xy = np.stack([x[keep], y[keep]])
+    xy.flags.writeable = False
+    return xy
+
+
+@lru_cache(maxsize=4)  # a survey at a fixed bound B <= 90 reuses one block
+def _candidate_block(n: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_candidate_pairs(start, stop)` and the monomials x^(n-i) y^i of its
+    pairs as an (n + 1, K) int64 matrix.  Read-only, like the pairs."""
+    x, y = xy = _candidate_pairs(start, stop)
+    monomials = np.empty((n + 1, xy.shape[1]), dtype=np.int64)
     for k in range(n + 1):
         monomials[k] = x ** (n - k) * y**k
-    xy = np.stack([x, y])
-    xy.flags.writeable = monomials.flags.writeable = False
+    monomials.flags.writeable = False
     return xy, monomials
 
 
@@ -139,18 +136,14 @@ _SQUARE_SCAN_BOUND = 1024
 
 def locally_soluble_p(f: BinaryForm, p: int) -> bool:
     """Existence of a primitive Z_p-point on z^2 = f(x, y); Disc(f) != 0 and
-    p must be prime (only p >= 2 is checked).  The residue-disk descent
-    decides exactly."""
-    if p < 2:
+    p must be prime (else ValueError).  The residue-disk descent decides
+    exactly."""
+    if not is_prime(p):
         raise ValueError(f"p = {p} is not a prime")
     disc = f.disc
     if disc == 0:
         raise ValueError("Disc(f) = 0")
-    vdisc = 0
-    d = abs(disc)
-    while d % p == 0:
-        d //= p
-        vdisc += 1
+    vdisc = _content_valuation([disc], p)
     depth_budget = vdisc + (2 if p == 2 else 0) + f.degree + 4
     affine = [int(c) for c in f.coeffs]  # f(t, 1); f(1, p t) is built only if needed
     if p == 2:

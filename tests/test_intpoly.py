@@ -143,7 +143,7 @@ def test_tarski_query_matches_signs_at_integer_roots():
             b = rnd.randint(-3, 3)
             p = intpoly.mul(p, [1, b, b * b + rnd.randint(1, 9)])  # x^2 + bx + c, b^2 < 4c
         q = intpoly.strip([rnd.randint(-9, 9) for _ in range(rnd.randint(0, 14))])
-        want = sum(_sign(intpoly.evaluate(q, r)) for r in set(roots))
+        want = sum(_sign(intpoly.evaluate_binary(q, r, 1)) for r in set(roots))
         assert intpoly.tarski_query(p, q) == want, (p, q)
         assert intpoly.tarski_query(p, [1]) == len(set(roots)), p
 

@@ -8,6 +8,8 @@ import pytest
 
 from pencilorbits import cli, gfpoly, intpoly, numutil
 
+from conftest import random_unimodular
+
 
 def fraction_det(M):
     """Oracle: Gaussian elimination over Q."""
@@ -92,7 +94,7 @@ def test_gf_eval_matches_integer_evaluation():
         p = rng.choice([2, 3, 5, 7, 101, 1009, 65537])
         coeffs = [rng.randint(-(10**8), 10**8) for _ in range(rng.randint(0, 9))]
         t = rng.randint(-300, 300)
-        assert gfpoly.gf_eval(coeffs, t, p) == intpoly.evaluate(coeffs, t) % p
+        assert gfpoly.gf_eval(coeffs, t, p) == intpoly.evaluate_binary(coeffs, t, 1) % p
 
 
 # psi_12 and psi_13 are strong pseudoprimes to every prime base up to 37 and
@@ -196,3 +198,31 @@ def test_strong_lucas_pseudoprimes():
     ]
     assert [n for n in passing if n not in primes] == expected
     assert primes - {2} <= set(passing)
+
+
+def test_hnf_rows_reduces_above_every_pivot():
+    # reducing by the last pivot first and by the middle one after leaves the
+    # top row's entry above the last pivot at -1
+    assert numutil.hnf_rows([[-1, -1, 0], [0, 1, 1], [0, 0, -3]]) == [[1, 0, 2], [0, 1, 1], [0, 0, 3]]
+
+
+def test_hnf_rows_is_canonical_under_rebasing():
+    # two generating sets of one lattice, related by unimodular row
+    # operations, have one HNF: row echelon, positive pivots, every entry
+    # above a pivot in [0, pivot), zero rows dropped
+    rng = random.Random(15)
+    for _ in range(300):
+        rank = rng.randint(2, 6)
+        ncols = rank + rng.randint(0, 2)
+        rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(rank)]
+        if rng.random() < 0.3:  # a dependent row as well
+            rows.append([sum(rng.randint(-2, 2) * r[c] for r in rows) for c in range(ncols)])
+        U = random_unimodular(len(rows), rng)
+        rebased = [[sum(u * r[c] for u, r in zip(urow, rows)) for c in range(ncols)] for urow in U]
+        H = numutil.hnf_rows(rows)
+        assert numutil.hnf_rows(rebased) == H, rows
+        pivots = [next(j for j, x in enumerate(row) if x) for row in H]
+        assert pivots == sorted(set(pivots))
+        for i, (row, j) in enumerate(zip(H, pivots)):
+            assert row[j] > 0
+            assert all(0 <= H[k][j] < row[j] for k in range(i))

@@ -26,7 +26,7 @@ from pencilorbits.rings import (
     to_zeta_coords,
     zeta_element,
 )
-from conftest import factor, random_nondegenerate, serial_square_class
+from conftest import factor, random_nondegenerate, random_unimodular, serial_square_class
 
 
 def test_structure_constants_examples():
@@ -55,6 +55,21 @@ def test_ring_closure_and_associativity(rng):
                         left = ring_multiply(R, ring_multiply(R, basis[i], basis[j]), basis[k])
                         right = ring_multiply(R, basis[i], ring_multiply(R, basis[j], basis[k]))
                         assert left == right
+
+
+def test_spans_equal_under_rebasing(rng):
+    # a unimodular re-basis J of an I_f(k) basis spans the same lattice; one
+    # basis vector doubled spans a sublattice of index 2
+    for _ in range(100):
+        n = rng.choice([2, 4, 6])
+        f = random_nondegenerate(n, 8, rng)
+        if f.coeffs[0] == 0:
+            continue
+        I = ideal_power_basis(f, rng.randrange(n)).basis
+        zero = AlgebraElement(f, (0,) * n)
+        J = [sum((b * u for u, b in zip(row, I)), zero) for row in random_unimodular(n, rng)]
+        assert spans_equal(f, I, J), (f.coeffs, J)
+        assert not spans_equal(f, I, [J[0] * 2] + J[1:])
 
 
 def test_birch_merriman(rng):
@@ -355,6 +370,20 @@ def test_same_square_class_chunk_sizes(monkeypatch):
     chunks = _record_chunks(monkeypatch)
     assert same_square_class(alpha, alpha, trials=200) == SquareClassVerdict.EQUAL
     assert [len(c) for c in chunks] == [1, 4, 16, 64, 115]
+
+
+def test_good_primes_give_squarefree_reductions():
+    # a good prime divides neither f0 nor Disc(f), so the monic reduction of
+    # f(x, 1) is squarefree: same_square_class relies on it without a check
+    rng = random.Random(16)
+    for n in (2, 4, 6, 8, 10):
+        for _ in range(8):
+            f = random_nondegenerate(n, 30, rng)
+            if f.coeffs[0] == 0:
+                continue
+            for p in itertools.islice(rings._good_primes(abs(f.coeffs[0] * f.disc)), 50):
+                fbar = gfpoly.gf_monic(gfpoly.normalize(f.univariate(), p), p)
+                assert gfpoly.gf_gcd(fbar, gfpoly.gf_derivative(fbar, p), p) == [1], (f.coeffs, p)
 
 
 def test_frobenius_powers_int64_bound():

@@ -145,6 +145,15 @@ def test_hensel_cases():
     assert locally_soluble_p(BinaryForm((1, 1, 1, 1, 2)), 101) is True
 
 
+def test_locally_soluble_p_rejects_non_primes():
+    # composite p would be answered as if it were prime (p = 4, 9, 15, 25
+    # gave True, True, False, True)
+    f = BinaryForm((3, 0, 0, 0, 5))
+    for p in (4, 9, 15, 25, 0, 1, -3):
+        with pytest.raises(ValueError):
+            locally_soluble_p(f, p)
+
+
 def test_descent_agrees_with_exhaustion(rng):
     for _ in range(50):
         f = random_nondegenerate(4, 25, rng)
@@ -176,7 +185,7 @@ def test_unit_square_value_against_scan(rng):
         return [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(d)]
 
     def scan(hbar, p):
-        return any(pow(intpoly.evaluate(hbar, t) % p, (p - 1) // 2, p) == 1 for t in range(p))
+        return any(pow(intpoly.evaluate_binary(hbar, t, 1) % p, (p - 1) // 2, p) == 1 for t in range(p))
 
     for p in (1031, 1163):  # below and above (32 + 2)^2 = 1156
         nonresidue = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)

@@ -34,3 +34,21 @@ def test_no_cross_module_private_access():
                 continue
             found += [f"{path.name}:{node.lineno}: {name}" for name in names]
     assert not found, found
+
+
+def test_no_unused_imports():
+    # every name a library module imports is read somewhere in that module;
+    # the package __init__ is exempt, as its imports are its re-exports
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in read]
+    assert not found, found
