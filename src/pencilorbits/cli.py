@@ -29,6 +29,10 @@ MAX_JOBS = 64
 # --primes range: genus0_product(10^5) takes 1.5 s and a density row about
 # 6 s, and both grow faster than linearly in P
 MAX_PRIMES = 100_000
+# densities genus range, --genus + --genus-count - 1: at P = 1000 a row at
+# genus 30 takes 1.7 s with --samples 0 and 26 s at the default 100 000
+# samples; at genus 50 these are 16 s and more than 6 minutes
+MAX_GENUS = 30
 
 
 class CliValidationError(Exception):
@@ -132,6 +136,9 @@ def _cmd_count_fp(args) -> int:
 def _cmd_densities(args) -> int:
     _require(args.genus >= 0, "--genus must be >= 0")
     _require(args.genus_count >= 1, "--genus-count must be >= 1")
+    _require(
+        args.genus + args.genus_count - 1 <= MAX_GENUS, f"--genus + --genus-count - 1 must be at most {MAX_GENUS}"
+    )
     _require_primes(args.primes, 2)
     _require(args.samples >= 0, "--samples must be >= 0")
     _require_jobs(args.jobs)

@@ -16,10 +16,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from mpmath import mp, mpf, zeta
 
 from .finite_fields import sl_n_order
-from .numutil import primes_upto
+from .numutil import is_prime, primes_upto
 from .realroots import count_real_roots_batch
 
 DYADIC_BITS = 12
@@ -167,29 +166,39 @@ def factor_count_distribution(n: int, p: int) -> tuple[int, ...]:
     distinct irreducible binary factors.
 
     Each entry is a polynomial in p of degree at most n + 1, evaluated here
-    from its Newton forward differences at 1 as sum_k D^k * C(p - 1, k).
-    Proof of polynomiality: the count is (p - 1) times a sum, over the ways
-    to split the degree n among distinct irreducibles of each degree d with
-    multiplicities, of products of comb(A_d, j) and comb(s - 1, j - 1)
-    (`_factor_count_dp`).  A_1 = p + 1 (the points of the projective line)
-    and A_d = (1/d) sum_(e | d) moebius(e) p^(d/e) for d >= 2 (Moebius
-    inversion) are polynomials in p of degree d, and comb(A, j) is the
-    polynomial A (A - 1) ... (A - j + 1) / j! in A of degree j, so a term
-    that takes j distinct irreducibles of degree d has degree d * j in p,
-    and the degrees of all factors of one term sum to at most n.  Every A_d
-    is a nonnegative integer at each integer q >= 1 (it counts aperiodic
-    necklaces of length d on q letters; A_d(1) = 0 for d >= 2), where
-    math.comb therefore agrees with the polynomial, so the DP run at
+    from its Newton forward differences at 1 as sum_k D^k * C(p - 1, k); p
+    may be any integer >= 1, prime or not, and gives the polynomial's value.
+    Proof of polynomiality: a nonzero form is a scalar in F_p^* times an
+    effective divisor of degree n on P^1, so the count is (p - 1) times the
+    u^n y^m coefficient of prod_d (1 + y u^d / (1 - u^d))^(A_d), where A_d
+    is the number of closed points of degree d: A_1 = p + 1 and A_d =
+    (1/d) sum_(e | d) moebius(e) p^(d/e) for d >= 2 (Moebius inversion).
+    With w = 1 - y each factor is (1 - w u^d)^(A_d) / (1 - u^d)^(A_d), and
+    prod_d (1 - u^d)^(-A_d) = 1 / ((1 - u)(1 - p u)) is the zeta function
+    of P^1, whose u^s coefficient is N_s = 1 + p + ... + p^s
+    (`_factor_count_gf`).  Expanding (1 - w u^d)^(A_d) gives the terms
+    (-1)^j comb(A_d, j) w^j u^(d j); A_d is a polynomial in p of degree d
+    and comb(A, j) the polynomial A (A - 1) ... (A - j + 1) / j! in A of
+    degree j, so a product of such terms with total u-degree s has degree
+    s in p, and N_(n - s) adds n - s.  Substituting w = 1 - y does not
+    involve p, so each count is (p - 1) times a polynomial of degree <= n.
+    Every A_d is a nonnegative integer at each integer q >= 1 (it counts
+    aperiodic necklaces of length d on q letters; A_d(1) = 0 for d >= 2),
+    where math.comb therefore agrees with the polynomial, so the count at
     q = 1..n + 2 gives n + 2 values of a polynomial of degree <= n + 1."""
     binom = [math.comb(p - 1, k) for k in range(n + 2)]
-    return tuple(sum(d * b for d, b in zip(diffs, binom)) for diffs in _forward_differences(n))
+    return tuple(_dot(diffs, binom) for diffs in _forward_differences(n))
+
+
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
 @lru_cache(maxsize=64)
 def _forward_differences(n: int) -> tuple[tuple[int, ...], ...]:
     """Per m, the Newton forward differences D^0..D^(n+1) at q = 1 of
     |I_q(m)| as a polynomial in q (see factor_count_distribution)."""
-    values = [_factor_count_dp(n, q) for q in range(1, n + 3)]
+    values = [_factor_count_gf(n, q) for q in range(1, n + 3)]
     table = []
     for m in range(n + 1):
         col, diffs = [v[m] for v in values], []
@@ -200,40 +209,48 @@ def _forward_differences(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _factor_count_dp(n: int, p: int) -> tuple[int, ...]:
-    """factor_count_distribution(n, p) at one integer p >= 1 by the exact
-    multiset count: choose distinct irreducibles per degree with
-    multiplicities."""
-    A = {1: p + 1}
-    for d in range(2, n + 1):
-        A[d] = monic_irreducible_count(d, p)
-    dp = [[0] * (n + 1) for _ in range(n + 1)]  # dp[t][m]
-    dp[0][0] = 1
+def _factor_count_gf(n: int, q: int) -> tuple[int, ...]:
+    """factor_count_distribution(n, q) at one integer q >= 1: the u^n
+    coefficient of prod_d (1 - w u^d)^(A_d) / ((1 - u)(1 - q u)) as a
+    polynomial in w, then w = 1 - y (see factor_count_distribution)."""
+    # G[s][k]: coefficient of u^s w^k; k <= s, as every term has d >= 1
+    G = [[0] * (s + 1) for s in range(n + 1)]
+    G[0][0] = 1
     for d in range(1, n + 1):
-        # degree s*d taken by j distinct degree-d irreducibles: w ways
-        terms = [
-            (s * d, j, math.comb(A[d], j) * math.comb(s - 1, j - 1))
-            for s in range(1, n // d + 1)
-            for j in range(1, s + 1)
-        ]
-        new = [row[:] for row in dp]
-        for t in range(n + 1):
-            row = dp[t]
-            for m in range(t + 1):
-                v = row[m]
-                if not v:
-                    continue
-                for tp, j, w in terms:
-                    if tp > n - t:
-                        break
-                    new[t + tp][m + j] += v * w
-        dp = new
-    return tuple((p - 1) * dp[n][m] for m in range(n + 1))
+        A = q + 1 if d == 1 else monic_irreducible_count(d, q)
+        terms = [(d * j, j, (-1) ** j * math.comb(A, j)) for j in range(1, min(A, n // d) + 1)]
+        # in place from the top: row s takes only rows below it, still old
+        for s in range(n, d - 1, -1):
+            row = G[s]
+            for t, j, c in terms:
+                if t > s:
+                    break
+                src = G[s - t]
+                for k, v in enumerate(src):
+                    if v:
+                        row[k + j] += c * v
+    # H[k]: the u^n w^k coefficient after the zeta factor sum_s N_s u^s
+    H = [0] * (n + 1)
+    N = 1  # N_(n - s) for s = n, n - 1, ...
+    for s in range(n, -1, -1):
+        for k, v in enumerate(G[s]):
+            H[k] += v * N
+        N = N * q + 1
+    # w^k = sum_m comb(k, m) (-y)^m
+    return tuple(
+        (q - 1) * (-1) ** m * sum(math.comb(k, m) * H[k] for k in range(m, n + 1)) for m in range(n + 1)
+    )
+
+
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
 
 
 def mu_p_distribution(n: int, p: int) -> tuple[Fraction, ...]:
     """(mu(I_p(m)))_m = |I_p(m)|/p^(n+1); the zero form belongs to no I_p(m),
     so the values sum to 1 - p^-(n+1).  Exact, from the combinatorial count."""
+    _require_prime(p)
     total = p ** (n + 1)
     counts = factor_count_distribution(n, p)
     return tuple(Fraction(c, total) for c in counts)
@@ -302,11 +319,34 @@ def two_adic_factor(n: int) -> Fraction:
 
 
 def finite_prime_factor(n: int, p: int) -> Fraction:
-    """sum_m min(1, (p+1)/2^(m-1)) mu(I_p(m)), clamped to <= 1; exact."""
-    counts = factor_count_distribution(n, p)
-    # 2^(n-1) times the weight min(1, (p+1)/2^(m-1)) is an integer for m <= n
-    acc = sum(min(2 ** (n - 1), (p + 1) * 2 ** (n - m)) * counts[m] for m in range(1, n + 1))
+    """sum_m min(1, (p+1)/2^(m-1)) mu(I_p(m)), clamped to <= 1; exact.
+
+    2^(n-1) times the weight min(1, (p+1)/2^(m-1)) is the integer
+    min(2^(n-1), (p+1) 2^(n-m)), and it is 2^(n-1) exactly when
+    p + 1 >= 2^(m-1), that is m <= m0 = min(n, (p+1).bit_length()).  So the
+    weighted sum of the counts is two dot products of the Newton
+    coefficients C(p-1, k) with the threshold sums of `_weighted_differences`."""
+    _require_prime(p)
+    full, capped = _weighted_differences(n)[min(n, (p + 1).bit_length())]
+    binom = [math.comb(p - 1, k) for k in range(n + 2)]
+    acc = 2 ** (n - 1) * _dot(full, binom) + (p + 1) * _dot(capped, binom)
     return min(Fraction(acc, 2 ** (n - 1) * p ** (n + 1)), Fraction(1))
+
+
+@lru_cache(maxsize=64)
+def _weighted_differences(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per threshold m0 = 0..n, the forward differences of the two parts of
+    finite_prime_factor's weighted count: sum_(1 <= m <= m0) D_m and
+    sum_(m0 < m <= n) 2^(n-m) D_m, where D_m are |I_q(m)|'s differences."""
+    diffs = _forward_differences(n)
+    zero = (0,) * (n + 2)
+    full = [zero]
+    for m in range(1, n + 1):
+        full.append(tuple(a + b for a, b in zip(full[-1], diffs[m])))
+    capped = [zero]
+    for m in range(n, 0, -1):
+        capped.append(tuple(a + 2 ** (n - m) * b for a, b in zip(capped[-1], diffs[m])))
+    return tuple(zip(full, reversed(capped)))
 
 
 def density_bound(
@@ -335,14 +375,17 @@ def density_bound(
     arch_sigma = arch.stderr * 2 ** (g + 1)
     f2 = two_adic_factor(n)
     finite: dict[int, float] = {}
-    prod = Fraction(1)
+    # the product as one unreduced numerator and denominator: int / int is
+    # correctly rounded, as float(Fraction) is, so the float is the same
+    num, den = f2.numerator, f2.denominator
     for p in primes_upto(truncation_prime):
         if p == 2:
             continue
         fp = finite_prime_factor(n, p)
         finite[p] = float(fp)
-        prod *= fp
-    tail = float(f2 * prod)
+        num *= fp.numerator
+        den *= fp.denominator
+    tail = num / den
     return DensityReport(
         genus=g,
         degree=n,
@@ -375,6 +418,8 @@ def zeta_identity_gap(n: int, truncation_prime: int) -> float:
     """|zeta(2)...zeta(n) * prod_(p<=P) #SL_n(F_p)/p^(n^2-1) - 1|."""
     if n < 2:
         raise ValueError("need n >= 2")
+    from mpmath import mp, mpf, zeta
+
     mp.dps = 40
     acc = mpf(1)
     for k in range(2, n + 1):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from pencilorbits import gfpoly, intpoly
+from pencilorbits.densities import monic_irreducible_count
 from pencilorbits.forms import BinaryForm, UnimodularMatrix2, discriminant, evaluate, random_nondegenerate_form
 from pencilorbits.numutil import is_prime, isqrt_exact
 from pencilorbits.orbits import CurvePoint
@@ -87,6 +88,37 @@ def factor_by_trial_division(f: list[int], p: int) -> list[tuple[list[int], int]
     if len(f) > 1:
         out.append((f, 1))
     return sorted(out, key=lambda t: (len(t[0]), t[0]))
+
+
+def factor_count_dp_oracle(n: int, p: int) -> tuple[int, ...]:
+    """Oracle for densities.factor_count_distribution at one integer p >= 1
+    by the exact multiset count: choose distinct irreducibles per degree with
+    multiplicities."""
+    A = {1: p + 1}
+    for d in range(2, n + 1):
+        A[d] = monic_irreducible_count(d, p)
+    dp = [[0] * (n + 1) for _ in range(n + 1)]  # dp[t][m]
+    dp[0][0] = 1
+    for d in range(1, n + 1):
+        # degree s*d taken by j distinct degree-d irreducibles: w ways
+        terms = [
+            (s * d, j, math.comb(A[d], j) * math.comb(s - 1, j - 1))
+            for s in range(1, n // d + 1)
+            for j in range(1, s + 1)
+        ]
+        new = [row[:] for row in dp]
+        for t in range(n + 1):
+            row = dp[t]
+            for m in range(t + 1):
+                v = row[m]
+                if not v:
+                    continue
+                for tp, j, w in terms:
+                    if tp > n - t:
+                        break
+                    new[t + tp][m + j] += v * w
+        dp = new
+    return tuple((p - 1) * dp[n][m] for m in range(n + 1))
 
 
 @pytest.fixture

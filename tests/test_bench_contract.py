@@ -28,3 +28,13 @@ def test_census_caches_are_cleared_between_rounds():
     for fn in (finite_fields._quartic_pair_table, finite_fields.pair_census_n2):
         assert callable(getattr(fn, "cache_clear", None)), fn
         assert fn.__module__ == "pencilorbits.finite_fields", fn
+
+
+def test_density_caches_are_cleared_between_rounds():
+    # the density workload times the Newton tables and the per-prime counts
+    # cold only if find_caches sees them as densities' own lru_caches
+    from pencilorbits import densities
+
+    for fn in (densities._forward_differences, densities._weighted_differences, densities.factor_count_distribution):
+        assert callable(getattr(fn, "cache_clear", None)), fn
+        assert fn.__module__ == "pencilorbits.densities", fn

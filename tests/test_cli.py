@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pencilorbits.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, MAX_JOBS, MAX_PRIMES, run
+from pencilorbits.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, MAX_GENUS, MAX_JOBS, MAX_PRIMES, run
 from pencilorbits.densities import genus0_product
 
 
@@ -144,6 +144,8 @@ ARGV_EXIT_CODES = [
     (["count-fp", "--n", "2", "--form", "1,0,1", "--p", "4"], EXIT_VALIDATION),
     (["densities", "--genus", "1", "--samples", "-5"], EXIT_VALIDATION),
     (["densities", "--genus", "1", "--genus-count", "0"], EXIT_VALIDATION),
+    (["densities", "--genus", str(MAX_GENUS + 1), "--samples", "0"], EXIT_VALIDATION),
+    (["densities", "--genus", "2", "--genus-count", str(MAX_GENUS), "--samples", "0"], EXIT_VALIDATION),
     (["densities", "--genus", "1", "--samples", "10", "--jobs", "0"], EXIT_VALIDATION),
     (["densities", "--genus", "1", "--samples", "10", "--jobs", str(MAX_JOBS + 1)], EXIT_VALIDATION),
     (["verify", "--form", "1,0,1", "--pair", "[1]"], EXIT_VALIDATION),

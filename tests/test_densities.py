@@ -6,6 +6,9 @@ import pytest
 
 from pencilorbits import densities as D
 from pencilorbits import gfpoly
+from pencilorbits.numutil import primes_upto
+
+from conftest import factor_count_dp_oracle
 
 
 def distinct_count_table(n, p):
@@ -60,24 +63,61 @@ def test_mu_p_enumeration_matches_combinatorial_count():
         assert D.mu_p_distribution(n, p) == dp, (n, p)
 
 
+def test_generating_function_count_matches_dp():
+    # the squarefree generating function against the multiset count at
+    # every q the Newton form is built from
+    for n in range(1, 23):
+        for q in range(1, n + 3):
+            assert D._factor_count_gf(n, q) == factor_count_dp_oracle(n, q), (n, q)
+
+
 def test_closed_form_matches_dp():
-    # the Newton form of each entry against the DP it was built from, at
-    # every odd p <= 1000 (primes or not: both sides are polynomials in p)
+    # the Newton form of each entry against the multiset count, at every
+    # odd p <= 1000 (primes or not: both sides are polynomials in p)
     for n in range(2, 23):
         for p in range(3, 1001, 2):
-            assert D.factor_count_distribution(n, p) == D._factor_count_dp(n, p), (n, p)
-        assert D.factor_count_distribution(n, 2) == D._factor_count_dp(n, 2)
+            assert D.factor_count_distribution(n, p) == factor_count_dp_oracle(n, p), (n, p)
+        assert D.factor_count_distribution(n, 2) == factor_count_dp_oracle(n, 2)
+
+
+def finite_factor_by_fraction_sum(n, p):
+    counts = D.factor_count_distribution(n, p)
+    want = sum(min(Fraction(1), Fraction(p + 1, 2 ** (m - 1))) * Fraction(counts[m], p ** (n + 1)) for m in range(1, n + 1))
+    return min(want, Fraction(1))
 
 
 def test_finite_prime_factor_matches_fraction_sum():
-    # the integer-weighted sum against the plain Fraction formula
-    for n in (2, 4, 10, 22):
-        for p in (3, 5, 7, 11, 97, 997):
-            counts = D.factor_count_distribution(n, p)
-            want = sum(
-                min(Fraction(1), Fraction(p + 1, 2 ** (m - 1))) * Fraction(counts[m], p ** (n + 1)) for m in range(1, n + 1)
-            )
-            assert D.finite_prime_factor(n, p) == min(want, Fraction(1)), (n, p)
+    # the threshold-weighted Newton sums against the plain Fraction formula
+    # at every odd prime <= 1000 and every even n <= 22: every threshold
+    # m0 = min(n, bit_length(p + 1)) those primes reach, with m0 = n (no
+    # capped weight) at small n
+    for n in range(2, 23, 2):
+        for p in primes_upto(1000)[1:]:
+            assert D.finite_prime_factor(n, p) == finite_factor_by_fraction_sum(n, p), (n, p)
+
+
+def test_density_bound_floats_match_fraction_product():
+    # the one integer product gives the floats of the Fraction product
+    for g in (1, 2, 3):
+        n = 2 * g + 2
+        rep = D.density_bound(g, 1000, 2000, 7)
+        prod = Fraction(1)
+        for p in primes_upto(1000)[1:]:
+            fp = finite_factor_by_fraction_sum(n, p)
+            assert rep.finite_factors[p] == float(fp), (g, p)
+            prod *= fp
+        tail = float(D.two_adic_factor(n) * prod)
+        assert rep.bound == rep.archimedean_factor * tail, g
+        assert rep.bound_conservative == (rep.archimedean_factor + 3 * rep.archimedean_stderr) * tail, g
+
+
+@pytest.mark.parametrize("p", [0, 1, 9, 15])
+def test_local_factors_reject_non_primes(p):
+    for call in (D.finite_prime_factor, D.mu_p_distribution):
+        with pytest.raises(ValueError, match="prime"):
+            call(4, p)
+    with pytest.raises(ValueError, match="prime"):
+        D.mu_p(4, 1, p)
 
 
 def test_irreducible_form_count_calibration():
