@@ -27,7 +27,7 @@ for k in range(n):
 a = ideal_power_basis(f, 1)
 b = ideal_power_basis(f, 2)
 products = [algebra_mul(x, y) for x in a.basis for y in b.basis]
-print("\nI_f(1) * I_f(2) == I_f(3):", spans_equal(f, products, ideal_power_basis(f, 3).basis))
+print("\nI_f(1) * I_f(2) == I_f(3):", spans_equal(products, ideal_power_basis(f, 3).basis))
 
 # the fractional inverse I_f^(-1) used by the n = 2 construction
 inv = ideal_inverse_power(f)

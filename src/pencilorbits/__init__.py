@@ -2,6 +2,8 @@
 matrices attached to rational points on hyperelliptic curves z^2 = f(x, y),
 orbit statistics over R and F_p, and numerical local density bounds."""
 
+from types import ModuleType as _ModuleType
+
 from .forms import (
     BinaryForm,
     FactorizationType,
@@ -25,7 +27,10 @@ from .rings import (
     norm_linear,
     ring_discriminant,
     ring_from_form,
+    ring_multiply,
     same_square_class,
+    spans_equal,
+    to_zeta_coords,
 )
 from .orbits import (
     CurvePoint,
@@ -37,6 +42,7 @@ from .orbits import (
     pair_from_point,
     sl2_act_on_pair,
     template_pair,
+    transported_construction_class,
     verify_pair_data,
     x_minus_T,
 )
@@ -52,6 +58,7 @@ from .densities import (
     archimedean_factor,
     density_bound,
     genus0_product,
+    irreducible_form_count,
     mu_8,
     mu_p,
     mu_real,
@@ -68,4 +75,7 @@ from .search import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules that importing them binds
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

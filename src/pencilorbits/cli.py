@@ -92,7 +92,8 @@ def _cmd_orbit(args) -> int:
         "invariant_form": [str(c) for c in fv.coeffs],
         "det_identity_holds": fv == f,
     }
-    if P.z0 != 0:
+    # the x - T class needs a non-Weierstrass point and K_f, so f0 != 0
+    if P.z0 != 0 and f.coeffs[0] != 0:
         el = x_minus_T(f, P)
         payload["x_minus_T_norm_times_f0"] = str(algebra_norm(el) * f.coeffs[0])
         payload["z0_squared"] = str(P.z0**2)
@@ -106,6 +107,7 @@ def _cmd_verify(args) -> int:
         pair = SymmetricPair.from_json(args.pair)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliValidationError(f"bad pair: {exc}")
+    _require(pair.n >= 2 and pair.n % 2 == 0, f"pair size must be even and >= 2, got {pair.n}")
     fv = invariant_form(pair)
     payload = {
         "invariant_form": [str(c) for c in fv.coeffs],

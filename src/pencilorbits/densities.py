@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .finite_fields import sl_n_order
-from .numutil import is_prime, primes_upto
+from .numutil import primes_upto, require_prime
 from .realroots import count_real_roots_batch
 
 DYADIC_BITS = 12
@@ -129,28 +129,19 @@ def archimedean_factor(
 
 def monic_irreducible_count(d: int, p: int) -> int:
     """Number of monic irreducible univariate polynomials of degree d."""
-    total = 0
-    for e in range(1, d + 1):
-        if d % e == 0:
-            total += _moebius(e) * p ** (d // e)
-    return total // d
+    return sum(_moebius(e) * p ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
 
 
 def _moebius(n: int) -> int:
-    if n == 1:
-        return 1
-    m, cnt = n, 0
-    d = 2
+    m, sign, d = n, 1, 2
     while d * d <= m:
         if m % d == 0:
             m //= d
             if m % d == 0:
                 return 0
-            cnt += 1
+            sign = -sign
         d += 1
-    if m > 1:
-        cnt += 1
-    return -1 if cnt % 2 else 1
+    return -sign if m > 1 else sign
 
 
 def irreducible_form_count(n: int, p: int) -> int:
@@ -242,15 +233,10 @@ def _factor_count_gf(n: int, q: int) -> tuple[int, ...]:
     )
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be a prime, got {p}")
-
-
 def mu_p_distribution(n: int, p: int) -> tuple[Fraction, ...]:
     """(mu(I_p(m)))_m = |I_p(m)|/p^(n+1); the zero form belongs to no I_p(m),
     so the values sum to 1 - p^-(n+1).  Exact, from the combinatorial count."""
-    _require_prime(p)
+    require_prime(p)
     total = p ** (n + 1)
     counts = factor_count_distribution(n, p)
     return tuple(Fraction(c, total) for c in counts)
@@ -310,33 +296,37 @@ class DensityReport:
 
 
 def two_adic_factor(n: int) -> Fraction:
-    """(1/2^n) * sum_m min(1, 12/2^(m-1)) mu(I_8(m)); exact."""
-    mu8 = mu_8_distribution(n)
-    acc = Fraction(0)
-    for m in range(1, n + 1):
-        acc += min(Fraction(1), Fraction(12, 2 ** (m - 1))) * mu8[m]
-    return acc / 2**n
+    """(1/2^n) * sum_m min(1, 12/2^(m-1)) mu(I_8(m)); exact.  mu(I_8(m)) =
+    mu(I_2(m)) (see mu_8_distribution), so the sum is `_capped_sum` at q = 2."""
+    return _capped_sum(n, 2, 12) / 2**n
 
 
 def finite_prime_factor(n: int, p: int) -> Fraction:
-    """sum_m min(1, (p+1)/2^(m-1)) mu(I_p(m)), clamped to <= 1; exact.
+    """sum_m min(1, (p+1)/2^(m-1)) mu(I_p(m)); exact.  No clamp is needed
+    for the factor to be < 1: every weight is <= 1, and the masses
+    mu(I_p(m)) sum to 1 - p^-(n+1) (see mu_p_distribution)."""
+    require_prime(p)
+    return _capped_sum(n, p, p + 1)
 
-    2^(n-1) times the weight min(1, (p+1)/2^(m-1)) is the integer
-    min(2^(n-1), (p+1) 2^(n-m)), and it is 2^(n-1) exactly when
-    p + 1 >= 2^(m-1), that is m <= m0 = min(n, (p+1).bit_length()).  So the
+
+def _capped_sum(n: int, q: int, cap: int) -> Fraction:
+    """sum_m min(1, cap/2^(m-1)) |I_q(m)| / q^(n+1), for n >= 1.
+
+    2^(n-1) times the weight min(1, cap/2^(m-1)) is the integer
+    min(2^(n-1), cap 2^(n-m)), and it is 2^(n-1) exactly when
+    cap >= 2^(m-1), that is m <= m0 = min(n, cap.bit_length()).  So the
     weighted sum of the counts is two dot products of the Newton
-    coefficients C(p-1, k) with the threshold sums of `_weighted_differences`."""
-    _require_prime(p)
-    full, capped = _weighted_differences(n)[min(n, (p + 1).bit_length())]
-    binom = [math.comb(p - 1, k) for k in range(n + 2)]
-    acc = 2 ** (n - 1) * _dot(full, binom) + (p + 1) * _dot(capped, binom)
-    return min(Fraction(acc, 2 ** (n - 1) * p ** (n + 1)), Fraction(1))
+    coefficients C(q-1, k) with the threshold sums of `_weighted_differences`."""
+    full, capped = _weighted_differences(n)[min(n, cap.bit_length())]
+    binom = [math.comb(q - 1, k) for k in range(n + 2)]
+    acc = 2 ** (n - 1) * _dot(full, binom) + cap * _dot(capped, binom)
+    return Fraction(acc, 2 ** (n - 1) * q ** (n + 1))
 
 
 @lru_cache(maxsize=64)
 def _weighted_differences(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Per threshold m0 = 0..n, the forward differences of the two parts of
-    finite_prime_factor's weighted count: sum_(1 <= m <= m0) D_m and
+    _capped_sum's weighted count: sum_(1 <= m <= m0) D_m and
     sum_(m0 < m <= n) 2^(n-m) D_m, where D_m are |I_q(m)|'s differences."""
     diffs = _forward_differences(n)
     zero = (0,) * (n + 2)
@@ -378,9 +368,7 @@ def density_bound(
     # the product as one unreduced numerator and denominator: int / int is
     # correctly rounded, as float(Fraction) is, so the float is the same
     num, den = f2.numerator, f2.denominator
-    for p in primes_upto(truncation_prime):
-        if p == 2:
-            continue
+    for p in primes_upto(truncation_prime)[1:]:  # the odd primes
         fp = finite_prime_factor(n, p)
         finite[p] = float(fp)
         num *= fp.numerator
@@ -407,9 +395,7 @@ def genus0_product(truncation_prime: int) -> Fraction:
     if truncation_prime < 3:
         raise ValueError("need P >= 3")
     acc = Fraction(1)
-    for p in primes_upto(truncation_prime):
-        if p == 2:
-            continue
+    for p in primes_upto(truncation_prime)[1:]:  # the odd primes
         acc *= 1 - Fraction((p - 1) ** 2, 2 * p * p)
     return acc
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .forms import BinaryForm, factorization_type_mod_p, is_separable_mod_p
 from .gfpoly import gf_eval
-from .numutil import is_prime
+from .numutil import require_prime
 
 
 class BudgetExceededError(RuntimeError):
@@ -36,11 +36,6 @@ class BudgetExceededError(RuntimeError):
 
 
 N2_MAX_P = 7  # largest p for the n = 2 enumeration (p^6 pairs)
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be a prime, got {p}")
 
 
 @dataclass
@@ -96,7 +91,7 @@ def count_pairs_with_form(f: BinaryForm, p: int) -> OrbitStats:
     SL_2^+-(F_p) with stabilizer sizes.  n = 4, p = 2: total count only via
     the vectorized 2^20 enumeration.  Anything else exceeds the budget.
     """
-    _require_prime(p)
+    require_prime(p)
     n = f.degree
     if n == 2 and p <= N2_MAX_P:
         return _count_n2(f, p)
@@ -117,7 +112,7 @@ def pair_census_n2(p: int) -> dict[tuple[int, int, int], np.ndarray]:
     """All p^6 pairs (A, B) of symmetric 2 x 2 matrices over F_p as ascending
     int32 arrays of pair codes A*p^3 + B, bucketed by the invariant form
     (-1) * det(Ax - By) mod p."""
-    _require_prime(p)
+    require_prime(p)
     if p > N2_MAX_P:
         raise BudgetExceededError(f"n = 2 census at p = {p} is outside the enumeration budget")
     m0, m1, m2 = np.indices((p, p, p), dtype=np.int32).reshape(3, -1)
@@ -246,7 +241,7 @@ def orbit_statistics_prediction(f: BinaryForm, p: int) -> OrbitStats:
     """Closed-form predictions for separable f mod p: 2^(m-1) orbits with
     stabilizers of size 2^m for odd p (one orbit, trivial stabilizer at
     p = 2); total elements #SL_n(F_p) either way."""
-    _require_prime(p)
+    require_prime(p)
     if not is_separable_mod_p(f, p):
         raise ValueError("form is not separable mod p")
     n = f.degree

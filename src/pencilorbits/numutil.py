@@ -108,6 +108,11 @@ def is_prime(n: int) -> bool:
     return isqrt_exact(n) is None and _strong_probable_prime(n, (2,)) and _strong_lucas_probable_prime(n)
 
 
+def require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
+
+
 # steps whose x - y are multiplied together mod n before one gcd in _pollard_rho
 _RHO_BATCH = 128
 

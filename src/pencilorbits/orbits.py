@@ -3,6 +3,7 @@ actions, the point-to-pair construction, the ideal-to-pair map, and the
 x - T square-class map."""
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -21,7 +22,10 @@ class SymmetricPair:
     B: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for M in (self.A, self.B):
+        for name in ("A", "B"):
+            # operator.index takes ints (numpy's too) and rejects floats and strings
+            M = tuple(tuple(map(operator.index, row)) for row in getattr(self, name))
+            object.__setattr__(self, name, M)
             n = len(M)
             if any(len(row) != n for row in M):
                 raise ValueError("matrices must be square")

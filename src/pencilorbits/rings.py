@@ -32,13 +32,16 @@ class SquareClassVerdict(enum.Enum):
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """Element of K_f in power-basis coordinates (length n, Fractions)."""
+    """Element of K_f = Q[x]/(f(x,1)) in power-basis coordinates (length n,
+    Fractions).  K_f needs f0 != 0, checked here, where all K_f work starts."""
 
     form: BinaryForm
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
         n = self.form.degree
+        if self.form.coeffs[0] == 0:
+            raise ValueError("K_f requires a nonzero leading coefficient f0")
         if len(self.coords) != n:
             raise ValueError(f"need {n} coordinates")
         object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
@@ -105,8 +108,6 @@ def _theta_power_table(coeffs: tuple[int, ...]) -> tuple[tuple[Fraction, ...], .
     """Power-basis coordinates of theta^k for k = 0 .. 2n-2."""
     n = len(coeffs) - 1
     f0 = coeffs[0]
-    if f0 == 0:
-        raise ValueError("K_f requires a nonzero leading coefficient")
     rows: list[tuple[Fraction, ...]] = []
     cur = [Fraction(0)] * n
     cur[0] = Fraction(1)
@@ -327,14 +328,10 @@ def ideal_power_basis(f: BinaryForm, k: int) -> BasedIdeal:
     n = f.degree
     if not 0 <= k <= n - 1:
         raise ValueError("k out of range")
-    if f.coeffs[0] == 0:
-        raise ValueError("nonzero leading coefficient required")
-    table = _theta_power_table(f.coeffs)
-    basis = []
-    for j in range(k + 1):
-        basis.append(AlgebraElement(f, table[j]))
-    for j in range(k + 1, n):
-        basis.append(zeta_element(f, j))
+    # element_one checks f0 before the table divides by it
+    basis = [element_one(f)]
+    basis += (AlgebraElement(f, t) for t in _theta_power_table(f.coeffs)[1 : k + 1])
+    basis += (zeta_element(f, j) for j in range(k + 1, n))
     return BasedIdeal(f, tuple(basis))
 
 
@@ -375,7 +372,8 @@ def _span_canonical(elements) -> tuple:
     return (den // g, tuple(tuple(c // g for c in row) for row in H))
 
 
-def spans_equal(f: BinaryForm, elems_a, elems_b) -> bool:
+def spans_equal(elems_a, elems_b) -> bool:
+    """Whether two finite sets of K_f elements span the same Z-module."""
     return _span_canonical(elems_a) == _span_canonical(elems_b)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import gfpoly
 from .forms import BinaryForm, evaluate, random_nondegenerate_form, real_root_count
-from .numutil import factorize, is_prime, isqrt_exact, primes_upto
+from .numutil import factorize, isqrt_exact, primes_upto, require_prime
 from .orbits import CurvePoint
 
 
@@ -138,8 +138,7 @@ def locally_soluble_p(f: BinaryForm, p: int) -> bool:
     """Existence of a primitive Z_p-point on z^2 = f(x, y); Disc(f) != 0 and
     p must be prime (else ValueError).  The residue-disk descent decides
     exactly."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not a prime")
+    require_prime(p)
     disc = f.disc
     if disc == 0:
         raise ValueError("Disc(f) = 0")

@@ -49,6 +49,19 @@ def test_orbit_validation_errors():
     assert code == EXIT_VALIDATION
 
 
+def test_orbit_with_zero_leading_coefficient():
+    # f0 = 0: the pair is printed; the x - T fields, which need K_f and so
+    # f0 != 0, are left out as they are for z0 = 0
+    code, out, _ = _run(["orbit", "--n", "2", "--form", "0,1,1", "--point", "0,1,1"])
+    assert code == EXIT_OK
+    payload = json.loads(out)["payload"]
+    assert payload["det_identity_holds"] is True
+    assert "x_minus_T_norm_times_f0" not in payload and "z0_squared" not in payload
+    code, out, _ = _run(["orbit", "--n", "2", "--form", "1,1,0", "--point", "1,0,1"])
+    assert code == EXIT_OK
+    assert json.loads(out)["payload"]["x_minus_T_norm_times_f0"] == "1"
+
+
 def test_verify_command():
     pair = json.dumps({"A": [[-1, 0], [0, 3]], "B": [[0, 2], [2, -7]]})
     code, out, _ = _run(["verify", "--form", "3,7,4", "--pair", pair])
@@ -149,6 +162,11 @@ ARGV_EXIT_CODES = [
     (["densities", "--genus", "1", "--samples", "10", "--jobs", "0"], EXIT_VALIDATION),
     (["densities", "--genus", "1", "--samples", "10", "--jobs", str(MAX_JOBS + 1)], EXIT_VALIDATION),
     (["verify", "--form", "1,0,1", "--pair", "[1]"], EXIT_VALIDATION),
+    (["verify", "--form", "1,0,1", "--pair", '{"A": [[1.5]], "B": [[1]]}'], EXIT_VALIDATION),
+    (["verify", "--form", "1,0,1", "--pair", '{"A": [["x"]], "B": [[1]]}'], EXIT_VALIDATION),
+    (["verify", "--form", "1,0,1", "--pair", '{"A": [[1]], "B": [[1]]}'], EXIT_VALIDATION),
+    (["verify", "--form", "1,0,1", "--pair", '{"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "B": [[0, 0, 1], [0, 1, 0], [1, 0, 0]]}'], EXIT_VALIDATION),
+    (["verify", "--form", "1,0,1", "--pair", '{"A": [], "B": []}'], EXIT_VALIDATION),
     (["count-fp", "--n", "2", "--form", "1,0,2", "--p", "3"], EXIT_OK),
     (["count-fp", "--n", "2", "--form", "1,0,1", "--p", "318665857834031151167461"], EXIT_VALIDATION),
     (["survey", "--n", "abc", "--height", "5", "--count", "1"], EXIT_VALIDATION),

@@ -83,7 +83,9 @@ def test_closed_form_matches_dp():
 def finite_factor_by_fraction_sum(n, p):
     counts = D.factor_count_distribution(n, p)
     want = sum(min(Fraction(1), Fraction(p + 1, 2 ** (m - 1))) * Fraction(counts[m], p ** (n + 1)) for m in range(1, n + 1))
-    return min(want, Fraction(1))
+    # every weight is <= 1 and the masses sum to 1 - p^-(n+1): no clamp needed
+    assert want < 1, (n, p)
+    return want
 
 
 def test_finite_prime_factor_matches_fraction_sum():
@@ -189,6 +191,15 @@ def test_archimedean_factor_identities():
     assert af2.value < 1
     mu = D.mu_real(6, 150000, 5)
     assert af2.value == 1 - Fraction(1, 4) * mu.estimate(3)
+
+
+def test_two_adic_factor_matches_fraction_sum():
+    # the threshold-weighted Newton sums at q = 2, cap 12, against the plain
+    # Fraction loop over mu(I_8(m))
+    for n in range(2, 31, 2):
+        mu8 = D.mu_8_distribution(n)
+        want = sum(min(Fraction(1), Fraction(12, 2 ** (m - 1))) * mu8[m] for m in range(1, n + 1)) / 2**n
+        assert D.two_adic_factor(n) == want, n
 
 
 def test_two_adic_factor_monotone_shrink():

@@ -170,6 +170,26 @@ def test_survey_stdout_does_not_depend_on_the_rho_variant(monkeypatch):
     assert outs[0] == outs[1] and outs[0].count("\n") >= 60
 
 
+def test_one_prime_check_for_every_local_computation():
+    from pencilorbits import densities, finite_fields, search
+    from pencilorbits.forms import BinaryForm
+
+    f = BinaryForm((1, 0, 0, 0, 1))
+    calls = (
+        lambda p: numutil.require_prime(p),
+        lambda p: densities.finite_prime_factor(4, p),
+        lambda p: densities.mu_p_distribution(4, p),
+        lambda p: finite_fields.count_pairs_with_form(f, p),
+        lambda p: finite_fields.orbit_statistics_prediction(f, p),
+        lambda p: search.locally_soluble_p(f, p),
+    )
+    for call in calls:
+        for p in (-3, 0, 1, 9):
+            with pytest.raises(ValueError, match=f"^p must be a prime, got {p}$"):
+                call(p)
+    numutil.require_prime(7)
+
+
 def test_is_prime_matches_sieve():
     limit = 20000
     primes = set(numutil.primes_upto(limit))

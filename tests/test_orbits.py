@@ -283,6 +283,30 @@ def test_transported_class_agrees_with_x_minus_T(rng):
             assert verdict != rings.SquareClassVerdict.DISTINCT
 
 
+def test_symmetric_pair_entries_are_integers():
+    # operator.index: numpy integers pass and are stored as int, floats and
+    # strings are rejected
+    import numpy as np
+
+    v = SymmetricPair(tuple(map(tuple, np.array([[0, 1], [1, 0]]))), ((-1, 0), (0, np.int64(1))))
+    assert v == SymmetricPair(((0, 1), (1, 0)), ((-1, 0), (0, 1)))
+    assert all(type(x) is int for M in (v.A, v.B) for row in M for x in row)
+    for bad in (1.5, 1.0, "x", None):
+        with pytest.raises(TypeError):
+            SymmetricPair(((bad,),), ((1,),))
+
+
+def test_x_minus_T_needs_nonzero_f0():
+    # f = x y + y^2 has f0 = 0: the pair exists, but the x - T class lives
+    # in K_f, which needs f0 != 0
+    f, P = BinaryForm((0, 1, 1)), CurvePoint(0, 1, 1)
+    assert invariant_form(pair_from_point(f, P)) == f
+    with pytest.raises(ValueError, match="f0"):
+        x_minus_T(f, P)
+    with pytest.raises(ValueError, match="f0"):
+        transported_construction_class(f, P)
+
+
 def test_pair_json_round_trip():
     v = SymmetricPair(((0, 1), (1, 0)), ((-1, 0), (0, 1)))
     assert SymmetricPair.from_json(v.to_json()) == v
