@@ -62,9 +62,6 @@ class WeightedEstimate:
     value: Fraction
     stderr: float
 
-    def __float__(self):
-        return float(self.value)
-
 
 MC_CHUNK = 100_000
 

@@ -116,27 +116,23 @@ def height(f: BinaryForm) -> int:
 def discriminant(f: BinaryForm) -> int:
     """Disc(f), normalized so n = 2 gives f1^2 - 4*f0*f2.
 
-    Disc(f) = (-1)^(n(n-1)/2) * Res(f(x,1), f'(x,1)) / f0 for f0 != 0;
-    for f0 = 0 the form is shifted by a small deterministic SL2(Z) element
-    first (Disc is invariant).
+    Write f = y^v g(x, y) with g0 != 0 and d = n - v.  Then
+    Disc(g) = (-1)^(d(d-1)/2) * Res(g(x,1), g'(x,1)) / g0, and Disc(f) is
+    Disc(g) for v = 0, Res(y, g)^2 Disc(g) = g0^2 Disc(g) for v = 1 (Disc is
+    multiplicative), and 0 for v >= 2, where y^2 divides f (the zero form
+    included).
     """
-    n = f.degree
-    if f.coeffs[0] == 0:
-        if all(c == 0 for c in f.coeffs):
-            return 0
-        for k in range(1, n + 2):
-            # new leading coefficient is f(1, k), nonzero for some k <= n+1
-            shifted = sl2_act(UnimodularMatrix2(1, k, 0, 1), f)
-            if shifted.coeffs[0] != 0:
-                return discriminant(shifted)
-        raise ValueError("could not move to nonzero leading coefficient")
-    p = f.univariate()
-    res = intpoly.resultant(p, intpoly.derivative(p))
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    disc, rem = divmod(sign * res, f.coeffs[0])
+    g = intpoly.strip(f.univariate())
+    d = len(g) - 1
+    v = f.degree - d
+    if v >= 2:
+        return 0
+    res = intpoly.resultant(g, intpoly.derivative(g))
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    disc, rem = divmod(sign * res, g[0])
     if rem:
         raise ArithmeticError("resultant is not divisible by the leading coefficient")
-    return disc
+    return disc * g[0] ** (2 * v)
 
 
 def sl2_act(g: UnimodularMatrix2, f: BinaryForm) -> BinaryForm:

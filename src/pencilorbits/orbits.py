@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from . import rings
 from .forms import BinaryForm, UnimodularMatrix2, evaluate, sl2_act
 from .numutil import det, solve
@@ -23,8 +25,7 @@ class SymmetricPair:
 
     def __post_init__(self):
         for name in ("A", "B"):
-            # operator.index takes ints (numpy's too) and rejects floats and strings
-            M = tuple(tuple(map(operator.index, row)) for row in getattr(self, name))
+            M = tuple(tuple(map(_integer_entry, row)) for row in getattr(self, name))
             object.__setattr__(self, name, M)
             n = len(M)
             if any(len(row) != n for row in M):
@@ -45,6 +46,15 @@ class SymmetricPair:
     def from_json(cls, s: str) -> "SymmetricPair":
         d = json.loads(s)
         return cls(tuple(tuple(r) for r in d["A"]), tuple(tuple(r) for r in d["B"]))
+
+
+def _integer_entry(x) -> int:
+    """x as an int: operator.index takes ints (numpy's too) and rejects
+    floats and strings (TypeError); booleans, which it would take as 0 and 1,
+    are rejected here (ValueError)."""
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"matrix entries must be integers, got {x!r}")
+    return operator.index(x)
 
 
 @dataclass(frozen=True)
@@ -233,31 +243,23 @@ def verify_pair_data(I: BasedIdeal, alpha: AlgebraElement) -> tuple[bool, list[s
 
 def pair_from_ideal(I: BasedIdeal, alpha: AlgebraElement) -> SymmetricPair:
     """Symmetric pair from valid pair data: expand b_i b_j / alpha on the
-    natural I_f^(n-3) basis and read off the two top coefficient matrices;
-    the (A, B) assignment and signs are fixed by the determinant identity."""
+    natural I_f^(n-3) basis; A holds the zeta_(n-1) coefficients and B the
+    zeta_(n-2) coefficients.  The determinant identity f_(A, B) = f is
+    checked once (ArithmeticError if it fails)."""
     f = I.form
     n = f.degree
     diagnostics, expansions = _pair_data(I, alpha)
     if diagnostics:
         raise ValueError("invalid pair data: " + "; ".join(diagnostics))
-    P = [[0] * n for _ in range(n)]  # zeta_(n-2) slot
-    Q = [[0] * n for _ in range(n)]  # zeta_(n-1) slot
+    A = [[0] * n for _ in range(n)]
+    B = [[0] * n for _ in range(n)]
     for (i, j), coords in expansions.items():
-        P[i][j] = P[j][i] = int(coords[n - 2])
-        Q[i][j] = Q[j][i] = int(coords[n - 1])
-    Pt = tuple(tuple(r) for r in P)
-    Qt = tuple(tuple(r) for r in Q)
-    negP = tuple(tuple(-x for x in r) for r in Pt)
-    negQ = tuple(tuple(-x for x in r) for r in Qt)
-    candidates = [
-        (Pt, Qt), (Qt, Pt), (Pt, negQ), (Qt, negP),
-        (negP, Qt), (negQ, Pt), (negP, negQ), (negQ, negP),
-    ]
-    for A, B in candidates:
-        v = SymmetricPair(A, B)
-        if invariant_form(v) == f:
-            return v
-    raise ArithmeticError("no assignment of the coefficient matrices satisfies the determinant identity")
+        A[i][j] = A[j][i] = int(coords[n - 1])
+        B[i][j] = B[j][i] = int(coords[n - 2])
+    v = SymmetricPair(tuple(map(tuple, A)), tuple(map(tuple, B)))
+    if invariant_form(v) != f:
+        raise ArithmeticError("the zeta_(n-1), zeta_(n-2) coefficient matrices do not satisfy the determinant identity")
+    return v
 
 
 def x_minus_T(f: BinaryForm, P: CurvePoint) -> AlgebraElement:

@@ -266,39 +266,17 @@ def ring_multiply(R: RankNRing, u, v) -> tuple:
 
 
 def ring_discriminant(R: RankNRing) -> int:
-    """Determinant of the trace pairing Tr(b_i b_j) on (1, zeta_1, ...);
-    the traces are integers because R_f is an order."""
-    f = R.form
-    n = f.degree
-    s = _power_sums(f.coeffs, 2 * n - 2)
-    Z = _zeta_matrix(f.coeffs)
-    # T = Z^t S Z with S the Hankel matrix of power sums
-    T = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            acc = Fraction(0)
-            for i in range(n):
-                if Z[i][a]:
-                    for j in range(n):
-                        if Z[j][b]:
-                            acc += Z[i][a] * Z[j][b] * s[i + j]
-            T[a][b] = T[b][a] = acc
+    """Determinant of the trace pairing Tr(b_i b_j) on (1, zeta_1, ...),
+    from the structure constants alone: Tr(1) = n, Tr(zeta_k) is the trace
+    of multiplication by zeta_k, sum over j >= 1 of the zeta_j coordinate
+    of zeta_k zeta_j, and Tr(b_i b_j) is the coordinates of b_i b_j dotted
+    with these traces.  All integers."""
+    n = R.form.degree
+    tr = [n] + [sum(R.product(k, j)[j] for j in range(1, n)) for k in range(1, n)]
+    T = [tr]
+    for i in range(1, n):
+        T.append([tr[i]] + [sum(c * t for c, t in zip(R.product(i, j), tr)) for j in range(1, n)])
     return det(T)
-
-
-def _power_sums(coeffs: tuple[int, ...], upto: int) -> list[Fraction]:
-    """Newton power sums s_k of the roots of f(x,1), k = 0..upto."""
-    n = len(coeffs) - 1
-    f0 = coeffs[0]
-    s = [Fraction(n)]
-    for k in range(1, upto + 1):
-        acc = Fraction(0)
-        for i in range(1, min(k - 1, n) + 1):
-            acc += coeffs[i] * s[k - i]
-        if k <= n:
-            acc += Fraction(k * coeffs[k])
-        s.append(-acc / f0)
-    return s
 
 
 # ---------------------------------------------------------------------------

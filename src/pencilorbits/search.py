@@ -14,9 +14,11 @@ decided as soon as its values have constant valuation and unit class
 The number of such residues is bounded by the degree, so the descent stays
 narrow even at very large primes dividing the discriminant.  Whether a
 reduction h takes a nonzero square value is checked by scanning when
-p <= max(1024, (deg h + 2)^2); above that the answer is yes unless
-h = c * G^2 (Weil bound), which is tested by taking the square root of
-monic h directly, and then it is whether c is a square.  At p = 2 a disk is
+p <= (deg h + 2)^2.  Above that, with h = c * s * G^2 and s squarefree of
+degree >= 1, the Hasse-Weil bound for z^2 = c * s(t) gives more t with
+c * s(t) a nonzero square than G has roots, so the answer is yes unless
+h = c * G^2, which is tested by taking the square root of monic h
+directly, and then it is whether c is a square.  At p = 2 a disk is
 decided once its values are constant modulo 8 times the valuation part.
 """
 
@@ -131,9 +133,6 @@ def locally_soluble_R(f: BinaryForm) -> bool:
     return real_root_count(f) > 0
 
 
-_SQUARE_SCAN_BOUND = 1024
-
-
 def locally_soluble_p(f: BinaryForm, p: int) -> bool:
     """Existence of a primitive Z_p-point on z^2 = f(x, y); Disc(f) != 0 and
     p must be prime (else ValueError).  The residue-disk descent decides
@@ -200,15 +199,18 @@ def _decide_odd(g: list[int], p: int, depth: int, budget: int) -> bool:
 
 
 def _takes_unit_square_value(hbar: list[int], p: int) -> bool:
-    """Is h(t) a nonzero square mod p for some t in F_p?"""
+    """Is h(t) a nonzero square mod p for some t in F_p?  Scanned when
+    p <= (d + 2)^2, d = deg h; above that the Weil bound decides.  Write
+    h = c * s * G^2 with s monic squarefree of degree k.  If k >= 1, the
+    curve z^2 = c * s(t) has genus g' = (k - 1) // 2, and Hasse-Weil gives
+    #{t : c * s(t) a nonzero square} >= (p - 1 - 2 g' sqrt(p) - k) / 2,
+    which exceeds deg G = (d - k) / 2 once p - (d - 1) sqrt(p) > d + 1, true
+    for every p > (d + 2)^2; so some such t is not a root of G.  If k = 0,
+    h = c * G^2 and its nonzero values are c times squares."""
     if len(hbar) - 1 == 0:
         return _is_qr(hbar[0], p)
-    if p <= max(_SQUARE_SCAN_BOUND, (len(hbar) + 1) ** 2):
+    if p <= (len(hbar) + 1) ** 2:
         return any(_is_qr(gfpoly.gf_eval(hbar, t, p), p) for t in range(p))
-    # large p: if h = c * s * G^2 with s squarefree of degree >= 1, then
-    # z^2 = c * s is a curve with more than 2 * deg s points once
-    # p > (deg h + 2)^2 (Weil), so a nonzero square value exists; if h = c * G^2
-    # the values are c times squares
     return not _is_lc_times_square(hbar, p) or _is_qr(hbar[0], p)
 
 

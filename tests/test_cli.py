@@ -129,6 +129,26 @@ def test_survey_command_round_trip():
     assert out == out2
 
 
+def test_survey_csv_agrees_with_json_lines():
+    argv = ["survey", "--n", "4", "--height", "30", "--count", "6", "--seed", "6", "--point-bound", "5"]  # 4 soluble, 3 with a point
+    code, out, _ = _run(argv)
+    assert code == EXIT_OK
+    *lines, last = out.strip().splitlines()
+    records = [json.loads(line)["record"] for line in lines]
+    agg = json.loads(last)["payload"]
+    code, csv_out, _ = _run(argv + ["--csv"])
+    assert code == EXIT_OK
+    header, *rows, aggregate = csv_out.strip().splitlines()
+    assert header == "coeffs;genus;locally_soluble;point"
+    assert len(rows) == len(records) == 6
+    for row, rec in zip(rows, records):
+        coeffs, genus, soluble, point = row.split(";")
+        assert coeffs.split(",") == rec["coeffs"] and int(genus) == rec["genus"]
+        assert bool(int(soluble)) == rec["locally_soluble"]
+        assert point == (":".join(map(str, rec["point"])) if rec["point"] else "")
+    assert aggregate == f"# aggregate;{agg['count']};{agg['locally_soluble']};{agg['with_point']}"
+
+
 def test_orbit_output_feeds_verify():
     # the emitted pair re-parses and passes verification against the form
     code, out, _ = _run(["orbit", "--n", "4", "--form", "1,2,-3,1,9", "--point", "0,1,3"])
@@ -167,6 +187,9 @@ ARGV_EXIT_CODES = [
     (["verify", "--form", "1,0,1", "--pair", '{"A": [[1]], "B": [[1]]}'], EXIT_VALIDATION),
     (["verify", "--form", "1,0,1", "--pair", '{"A": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "B": [[0, 0, 1], [0, 1, 0], [1, 0, 0]]}'], EXIT_VALIDATION),
     (["verify", "--form", "1,0,1", "--pair", '{"A": [], "B": []}'], EXIT_VALIDATION),
+    (["verify", "--form", "1,0,1", "--pair", '{"A": [[true, 0], [0, false]], "B": [[0, 1], [1, 0]]}'], EXIT_VALIDATION),
+    (["orbit", "--n", "2", "--form", "1,0,1", "--point", "0,1"], EXIT_VALIDATION),
+    (["orbit", "--n", "2", "--form", "1,0,1", "--point", "2,4,0"], EXIT_VALIDATION),
     (["count-fp", "--n", "2", "--form", "1,0,2", "--p", "3"], EXIT_OK),
     (["count-fp", "--n", "2", "--form", "1,0,1", "--p", "318665857834031151167461"], EXIT_VALIDATION),
     (["survey", "--n", "abc", "--height", "5", "--count", "1"], EXIT_VALIDATION),

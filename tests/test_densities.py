@@ -147,6 +147,9 @@ def test_mu_real_partition_and_determinism():
     assert a.counts == b.counts
     assert sum(a.counts) == 20000
     assert sum(a.estimate(m) for m in range(3)) == 1
+    # two chunks, merged by a pool of two workers: the same counts
+    serial = D.mu_real(4, D.MC_CHUNK + 1, 0)
+    assert D.mu_real(4, D.MC_CHUNK + 1, 0, jobs=2).counts == serial.counts
 
 
 def test_mu_real_n2_against_quadrature():

@@ -34,9 +34,22 @@ def test_discriminant_examples():
     assert discriminant(BinaryForm((2, 3, 5))) == -31
     assert discriminant(BinaryForm((1, 0, -1))) == 4
     assert discriminant(BinaryForm((1, 0, 0, 0, 1))) == 256
-    # f0 = 0 handled through a shift; xy(x - y)(x + y) has a root at (1:0)? no: x | f
-    f = BinaryForm((0, 1, 0, -1, 0))  # x^3 y - x y^3 = xy(x-y)(x+y)
+    f = BinaryForm((0, 1, 0, -1, 0))  # x^3 y - x y^3 = xy(x-y)(x+y): f0 = 0, one root at (1:0)
     assert discriminant(f) != 0
+
+
+def test_discriminant_with_leading_zeros(rng):
+    # f0 = 0 (y divides f) and f0 = f1 = 0 (y^2 divides f, so Disc = 0): Disc
+    # equals that of an SL2(Z)-moved copy with nonzero f0; f(1, k) != 0 for
+    # some k <= n + 1 since fn != 0
+    for n in range(2, 13, 2):
+        for zeros in (1, 2):
+            for _ in range(15):
+                f = BinaryForm((0,) * zeros + tuple(rng.randint(-20, 20) for _ in range(n - zeros)) + (rng.randint(1, 20),))
+                moved = (sl2_act(UnimodularMatrix2(1, k, 0, 1), f) for k in range(1, n + 2))
+                assert discriminant(f) == discriminant(next(m for m in moved if m.coeffs[0])), f.coeffs
+                if zeros == 2:
+                    assert discriminant(f) == 0
 
 
 def test_sl2_act_convention_and_invariance(rng):

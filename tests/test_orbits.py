@@ -217,19 +217,34 @@ def test_pair_data_expansions_match_one_solve_per_product(rng):
 
 
 def test_pair_data_scaling_equivalence(rng):
-    # (I, alpha) -> (kappa I, kappa^2 alpha) leaves the invariant form unchanged
-    for n in (2, 4):
-        for _ in range(5):
+    # (I, alpha) -> (kappa I, kappa^2 alpha) for rational kappa, a unimodular
+    # change of I's basis and alpha -> -alpha all leave b_i b_j / alpha
+    # integral and the invariant form unchanged; A is the zeta_(n-1) slot
+    # and B the zeta_(n-2) slot of every expansion
+    from fractions import Fraction
+
+    from pencilorbits.orbits import _pair_data
+
+    for n in (2, 4, 6, 8):
+        for trial in range(8):
             f, c = random_form_with_point(n, rng, nonzero_lead=True)
             I, alpha = construction_ideal(f, c)
-            kappa = rings.linear_element(f, 1, rng.randint(1, 3))
+            kappa = rings.linear_element(f, rng.randint(1, 3), rng.randint(-3, 3)) * Fraction(rng.randint(1, 5), rng.randint(1, 5))
             if rings.algebra_norm(kappa) == 0:
                 continue
-            J = I.scaled(kappa)
-            beta = rings.algebra_mul(rings.algebra_mul(kappa, kappa), alpha)
-            ok, diag = verify_pair_data(J, beta)
+            I = I.scaled(kappa)
+            alpha = rings.algebra_mul(rings.algebra_mul(kappa, kappa), alpha)
+            if trial % 2:
+                zero = rings.AlgebraElement(f, (0,) * n)
+                I = rings.BasedIdeal(f, tuple(sum((b * u for u, b in zip(row, I.basis)), zero) for row in random_unimodular(n, rng)))
+                alpha = -alpha
+            ok, diag = verify_pair_data(I, alpha)
             assert ok, diag
-            assert invariant_form(pair_from_ideal(J, beta)) == f
+            v = pair_from_ideal(I, alpha)
+            assert invariant_form(v) == f
+            _, expansions = _pair_data(I, alpha)
+            for (i, j), coords in expansions.items():
+                assert v.A[i][j] == coords[n - 1] and v.B[i][j] == coords[n - 2]
 
 
 def test_verify_pair_data_mutation(rng):
@@ -284,8 +299,8 @@ def test_transported_class_agrees_with_x_minus_T(rng):
 
 
 def test_symmetric_pair_entries_are_integers():
-    # operator.index: numpy integers pass and are stored as int, floats and
-    # strings are rejected
+    # numpy integers pass and are stored as int; floats, strings and
+    # booleans are rejected
     import numpy as np
 
     v = SymmetricPair(tuple(map(tuple, np.array([[0, 1], [1, 0]]))), ((-1, 0), (0, np.int64(1))))
@@ -294,6 +309,10 @@ def test_symmetric_pair_entries_are_integers():
     for bad in (1.5, 1.0, "x", None):
         with pytest.raises(TypeError):
             SymmetricPair(((bad,),), ((1,),))
+    # bool is an int subclass that operator.index would take as 0 or 1
+    for bad in (True, False, np.bool_(True)):
+        with pytest.raises(ValueError, match="integers"):
+            SymmetricPair(((1,),), ((bad,),))
 
 
 def test_x_minus_T_needs_nonzero_f0():

@@ -9,6 +9,7 @@ import pytest
 
 from pencilorbits import gfpoly, intpoly, search
 from pencilorbits.forms import BinaryForm, discriminant
+from pencilorbits.numutil import primes_upto
 from pencilorbits.orbits import CurvePoint
 from pencilorbits.search import (
     _takes_unit_square_value,
@@ -201,7 +202,7 @@ def test_unit_square_value_against_scan(rng):
 
 
 def test_unit_square_value_small_p_against_square_set(rng):
-    # scan branch (p <= 1024): one quadratic-character test per value
+    # both branches at small p: the scan (p <= (d + 2)^2) and the Weil bound
     for p in (3, 5, 7, 11, 101, 1021):
         for d in (1, 2, 3, 4, 9, 30):
             for _ in range(4):
@@ -210,6 +211,32 @@ def test_unit_square_value_small_p_against_square_set(rng):
             G = [1] + [rng.randrange(p) for _ in range(d)]
             for c in range(1, min(p, 6)):
                 hbar = gfpoly.normalize(intpoly.mul([c], intpoly.mul(G, G)), p)
+                assert _takes_unit_square_value(hbar, p) == unit_square_value_oracle(hbar, p), (p, hbar)
+
+
+def test_unit_square_value_weil_branch_against_scan(rng):
+    # every odd prime (d + 2)^2 < p <= 1024, where the Weil bound decides in
+    # place of a scan, against the oracle's scan: a random h of degree d,
+    # c G^2 s with s of degree 1 or 2, and for even d, c G^2 with c a square
+    # and with c a non-square
+    for p in primes_upto(1024)[1:]:
+        nonresidue = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+
+        def random_poly(d):
+            return [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(d)]
+
+        for d in range(1, 9):
+            if p <= (d + 2) ** 2:
+                continue
+            G = random_poly((d - 1) // 2)
+            s = intpoly.mul([1, -rng.randrange(p)], [1, -rng.randrange(p)] if d % 2 == 0 else [1])
+            shapes = [random_poly(d), intpoly.mul([rng.randrange(1, p)], intpoly.mul(intpoly.mul(G, G), s))]
+            if d % 2 == 0:
+                G = random_poly(d // 2)
+                shapes += [intpoly.mul([rng.randrange(1, p) ** 2], intpoly.mul(G, G)), intpoly.mul([nonresidue], intpoly.mul(G, G))]
+            for h in shapes:
+                hbar = gfpoly.normalize(h, p)
+                assert len(hbar) == d + 1
                 assert _takes_unit_square_value(hbar, p) == unit_square_value_oracle(hbar, p), (p, hbar)
 
 
@@ -280,6 +307,8 @@ def test_survey_coherence(rng):
     assert agg2.locally_soluble == agg.locally_soluble
     records3, agg3 = survey(4, 60, 8, 0, 3)
     assert agg3.count == 0
+    # a pool of two workers gives the same records
+    assert survey(4, 50, 8, 4, 0, jobs=2) == survey(4, 50, 8, 4, 0)
 
 
 def test_locally_soluble_everywhere_consistency(rng):
