@@ -179,9 +179,9 @@ def _content_valuation(coeffs: list[int], p: int) -> int:
 
 
 def _decide_odd(g: list[int], p: int, depth: int, budget: int) -> bool:
-    """Does g(t) take a square value (in Z_p) for some t in Z_p? p odd."""
-    if all(c == 0 for c in g):
-        return True
+    """Does g(t) take a square value (in Z_p) for some t in Z_p? p odd.  g is
+    never 0: it starts as f(t, 1) or f(1, p t) with Disc(f) != 0, and
+    g(t0 + p t) is nonzero when g is."""
     e = _content_valuation(g, p)
     h = [c // p**e for c in g]
     hbar = gfpoly.normalize(h, p)

@@ -7,7 +7,7 @@ import pytest
 from pencilorbits import gfpoly, intpoly
 from pencilorbits.densities import monic_irreducible_count
 from pencilorbits.forms import BinaryForm, UnimodularMatrix2, discriminant, evaluate, random_nondegenerate_form
-from pencilorbits.numutil import is_prime, isqrt_exact
+from pencilorbits.numutil import det, is_prime, isqrt_exact, solve
 from pencilorbits.orbits import CurvePoint
 from pencilorbits.rings import SquareClassVerdict, algebra_mul
 from pencilorbits.search import DescentBudgetError
@@ -119,6 +119,18 @@ def factor_count_dp_oracle(n: int, p: int) -> tuple[int, ...]:
                     new[t + tp][m + j] += v * w
         dp = new
     return tuple((p - 1) * dp[n][m] for m in range(n + 1))
+
+
+def invariant_form_interpolation_oracle(A, B) -> tuple[int, ...]:
+    """Oracle for orbits.invariant_form: the coefficients of
+    (-1)^(n/2) det(A x - B y), by evaluating det(A t - B) at t = 0..n and
+    solving the Vandermonde system over the rationals."""
+    n = len(A)
+    vals = [det([[A[i][j] * t - B[i][j] for j in range(n)] for i in range(n)]) for t in range(n + 1)]
+    coeffs = solve([[t**k for k in range(n + 1)] for t in range(n + 1)], vals)  # coeffs[k] multiplies t^k
+    assert all(c.denominator == 1 for c in coeffs)
+    sign = (-1) ** (n // 2)
+    return tuple(sign * int(coeffs[n - i]) for i in range(n + 1))
 
 
 @pytest.fixture

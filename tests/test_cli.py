@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from pencilorbits import search
 from pencilorbits.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, MAX_GENUS, MAX_JOBS, MAX_PRIMES, run
 from pencilorbits.densities import genus0_product
+from pencilorbits.search import DescentBudgetError
 
 
 def _run(argv):
@@ -147,6 +149,19 @@ def test_survey_csv_agrees_with_json_lines():
         assert bool(int(soluble)) == rec["locally_soluble"]
         assert point == (":".join(map(str, rec["point"])) if rec["point"] else "")
     assert aggregate == f"# aggregate;{agg['count']};{agg['locally_soluble']};{agg['with_point']}"
+
+
+def test_survey_descent_budget_exits_3(monkeypatch):
+    def exhausted(f, p):
+        raise DescentBudgetError(f"descent at p={p} exceeded depth 0")
+
+    monkeypatch.setattr(search, "locally_soluble_p", exhausted)
+    code, out, err = _run(["survey", "--n", "2", "--height", "8", "--count", "2", "--seed", "4", "--jobs", "1"])
+    assert code == EXIT_BUDGET
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: descent at p="), err
 
 
 def test_orbit_output_feeds_verify():

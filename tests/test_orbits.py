@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pencilorbits.forms import BinaryForm, UnimodularMatrix2, evaluate, sl2_act
@@ -17,7 +19,7 @@ from pencilorbits.orbits import (
     verify_pair_data,
     x_minus_T,
 )
-from conftest import random_form_with_point, random_sl2, random_unimodular
+from conftest import invariant_form_interpolation_oracle, random_form_with_point, random_sl2, random_unimodular
 
 
 def test_invariant_form_examples():
@@ -53,6 +55,42 @@ def test_invariant_form_matches_determinant_on_random_pairs(rng):
                 assert evaluate(f, x, y) == sign * det(M), (n, trial, x, y)
             if trial in (1, 2):
                 assert f.coeffs[0 if trial == 1 else n] == 0
+
+
+def _symmetric(n, entry):
+    M = [[entry(i, j) for j in range(n)] for i in range(n)]
+    return tuple(tuple(M[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))
+
+
+def test_invariant_form_matches_interpolation_oracle(rng):
+    """The Kronecker read-off against the evaluate-and-interpolate method on
+    seeded pencils: entries up to 10^80, B = k A, A = 0, the zero pair,
+    dense +-H pencils, and diagonal pencils: with B = 0 the leading
+    coefficient reaches the bound h = prod_i (||a_i||_1 + ||b_i||_1)
+    exactly, h a power of two among them; with B = -A the middle
+    coefficient is C(n, n/2) h / 2^n."""
+    for n in range(2, 13, 2):
+        zero = _symmetric(n, lambda i, j: 0)
+        cases = [(zero, zero)]
+        for _ in range(2):
+            bits = rng.choice((1, 8, 64, 266))  # 2^266 > 10^80
+            A = _symmetric(n, lambda i, j: rng.randint(-(1 << bits), 1 << bits))
+            B = _symmetric(n, lambda i, j: rng.randint(-(1 << bits), 1 << bits))
+            k = rng.randint(-5, 5)
+            cases += [(A, B), (A, tuple(tuple(k * x for x in r) for r in A)), (zero, B)]
+            H = rng.randint(1, 10**rng.choice((1, 20, 80)))
+            cases.append(tuple(_symmetric(n, lambda i, j: rng.choice((-H, H))) for _ in "AB"))
+            diag = [rng.choice((-1, 1)) * rng.randint(1, 10**rng.choice((1, 80))) for _ in range(n)]
+            powers = [rng.choice((-1, 1)) << rng.randint(0, 70) for _ in range(n)]
+            for d in (diag, powers):
+                D = _symmetric(n, lambda i, j: d[i] if i == j else 0)
+                cases += [(D, zero), (D, tuple(tuple(-x for x in r) for r in D))]  # prod(d) t^n, prod(d) (t + 1)^n
+        for A, B in cases:
+            f = invariant_form(SymmetricPair(A, B))
+            assert f.coeffs == invariant_form_interpolation_oracle(A, B), (n, A, B)
+            if not any(any(r) for r in B) and all(A[i][j] == 0 for i in range(n) for j in range(n) if i != j):
+                h = math.prod(abs(A[i][i]) for i in range(n))
+                assert abs(f.coeffs[0]) == h
 
 
 def test_templates_pinned_to_printed_matrices():

@@ -12,6 +12,9 @@ from pencilorbits.forms import BinaryForm, discriminant
 from pencilorbits.numutil import primes_upto
 from pencilorbits.orbits import CurvePoint
 from pencilorbits.search import (
+    DescentBudgetError,
+    _decide_2,
+    _decide_odd,
     _takes_unit_square_value,
     locally_soluble_R,
     locally_soluble_everywhere,
@@ -153,6 +156,18 @@ def test_locally_soluble_p_rejects_non_primes():
     for p in (4, 9, 15, 25, 0, 1, -3):
         with pytest.raises(ValueError):
             locally_soluble_p(f, p)
+
+
+def test_descent_budget_error_at_budget_zero():
+    # 3 t^2 - 3 has odd content valuation at 3 and its reduction t^2 - 1 has
+    # roots, so the odd descent must refine; t^2 + 2 has g(0) = 2 and an odd
+    # t^2 term, so the 2-adic descent must split the disk
+    with pytest.raises(DescentBudgetError):
+        _decide_odd([3, 0, -3], 3, 0, 0)
+    with pytest.raises(DescentBudgetError):
+        _decide_2([1, 0, 2], 0, 0)
+    assert _decide_odd([3, 0, -3], 3, 0, 8) is True  # 3 (t^2 - 1) = 144 at t = 7
+    assert _decide_2([1, 0, 2], 0, 8) is False  # s^2 - t^2 = 2 has no 2-adic solution
 
 
 def test_descent_agrees_with_exhaustion(rng):
