@@ -202,6 +202,17 @@ def is_separable_mod_p(f: BinaryForm, p: int) -> bool:
     return len(d) - 1 == 0
 
 
+def separable_factor_count_mod_p(f: BinaryForm, p: int) -> int:
+    """m, the number of irreducible factors of f over F_p, for f separable
+    mod p, which the caller checks (is_separable_mod_p).  Then f(x, 1) mod p
+    is squarefree, so one distinct-degree factorization counts its factors,
+    and y divides f at most once (v = n - deg <= 1): the squarefree case of
+    factorization_type_mod_p, without its squarefree decomposition."""
+    reduced = gfpoly.normalize(f.univariate(), p)
+    m = sum((len(g) - 1) // d for d, g in gfpoly.distinct_degree_factorization(gfpoly.gf_monic(reduced, p), p))
+    return m + f.degree - (len(reduced) - 1)
+
+
 def random_nondegenerate_form(n: int, X: int, rng: random.Random) -> BinaryForm:
     """Resample until Disc != 0 (the degenerate locus has tiny mass)."""
     if X < 1:

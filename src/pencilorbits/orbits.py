@@ -27,10 +27,9 @@ class SymmetricPair:
         for name in ("A", "B"):
             M = tuple(tuple(map(_integer_entry, row)) for row in getattr(self, name))
             object.__setattr__(self, name, M)
-            n = len(M)
-            if any(len(row) != n for row in M):
+            if not set(map(len, M)) <= {len(M)}:
                 raise ValueError("matrices must be square")
-            if any(M[i][j] != M[j][i] for i in range(n) for j in range(n)):
+            if M != tuple(zip(*M)):
                 raise ValueError("matrices must be symmetric")
         if len(self.A) != len(self.B):
             raise ValueError("matrices must have equal size")

@@ -144,8 +144,8 @@ def test_non_prime_p_rejected(call, p):
 
 
 # -- enumeration oracles: the explicit-matrix n = 2 orbit walk and the
-# 24-permutation quartic census, kept as the library computed them before
-# both were vectorised --------------------------------------------------------
+# 24-permutation quartic census at the five points of P^1(F_4), kept as the
+# library computed them before both were vectorised ---------------------------
 
 
 def _sym_matrices(n: int, p: int):
@@ -285,6 +285,32 @@ def oracle_quartic_pair_table() -> np.ndarray:
     return counts
 
 
+def _f4_key(fc) -> int:
+    """The oracle's key of f mod 2: f at (1:0), (0:1), (1:1) over F_2 and at
+    (w:1), (w^2:1) over F_4, by Horner's rule in F_4's bit planes."""
+    vals = []
+    for xl, xh in ((0, 1), (1, 1)):  # w and w^2 = w + 1
+        lo = hi = 0
+        for c in fc:
+            t = hi & xh  # (lo, hi) * (xl, xh), then + c
+            lo, hi = (lo & xl) ^ t ^ c, (lo & xh) ^ (hi & xl) ^ t
+        vals.append((lo, hi))
+    (lo1, hi1), (lo2, hi2) = vals
+    return (fc[0] << 6) | (fc[4] << 5) | (sum(fc) % 2 << 4) | (hi1 << 3) | (lo1 << 2) | (hi2 << 1) | lo2
+
+
+def _det4_f2xy(A, B) -> list[int]:
+    """Coefficients of det(Ax - By) over F_2[x, y], x^4 first, by the
+    24-permutation sum (-B = B and every sign is +1 in characteristic 2)."""
+    d = np.zeros(5, np.int64)
+    for perm in itertools.permutations(range(4)):
+        t = np.ones(1, np.int64)
+        for i, j in enumerate(perm):
+            t = np.convolve(t, [A[i][j], B[i][j]])
+        d += t
+    return (d % 2).tolist()
+
+
 def _assert_matches_oracle(coeffs, p):
     st = count_pairs_with_form(BinaryForm(coeffs), p)
     got = (st.total_elements, st.orbit_count, st.stabilizer_sizes, st.square_point_count)
@@ -311,7 +337,7 @@ def test_count_n2_matches_orbit_walk_p7_sample():
 
 
 def test_census_codes_match_oracle_buckets():
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7):
         census = pair_census_n2(p)
         oracle = oracle_census_n2(p)
         assert census.keys() == oracle.keys()
@@ -324,28 +350,33 @@ def test_census_codes_match_oracle_buckets():
 
 
 def test_quartic_table_matches_permutation_census():
-    table = _quartic_pair_table()
-    assert table.tolist() == oracle_quartic_pair_table().tolist()
+    # the oracle keys pairs by det(Ax - By) at the five points of P^1(F_4),
+    # which tell the 32 forms mod 2 apart: its other 96 keys stay empty
+    table, oracle = _quartic_pair_table(), oracle_quartic_pair_table()
+    forms = list(itertools.product((0, 1), repeat=5))
+    for fc in forms:
+        assert table[_quartic_key(fc)] == oracle[_f4_key(fc)], fc
+    keys = {_f4_key(fc) for fc in forms}
+    assert len(keys) == 32
+    assert not any(oracle[k] for k in range(1 << 7) if k not in keys)
     assert int(table.sum()) == 1 << 20
 
 
 def test_quartic_key_is_the_census_key_of_the_invariant_form():
-    # f mod 2 at the five points of P^1(F_4) must pack like det(Ax - By) in
-    # the census (and its oracle) for every pair (A, B) with invariant form f
+    # the coefficient bits of f mod 2 must pack like those of det(Ax - By)
+    # over F_2[x, y] for every pair (A, B) with invariant form f
     rng = np.random.default_rng(12)
     for _ in range(200):
         A, B = (np.triu(rng.integers(0, 2, (4, 4), dtype=np.uint8)) for _ in range(2))
         A, B = A | A.T, B | B.T
         f = invariant_form(SymmetricPair(tuple(map(tuple, A.tolist())), tuple(map(tuple, B.tolist()))))
-        dA, dB, dAB = (int(_det4_f2(M)) for M in (A, B, A ^ B))
-        (dl1, dh1), (dl2, dh2) = _det4_f4(B, A), _det4_f4(A ^ B, A)
-        want = (dA << 6) | (dB << 5) | (dAB << 4) | (int(dh1) << 3) | (int(dl1) << 2) | (int(dh2) << 1) | int(dl2)
+        want = sum(c << (4 - i) for i, c in enumerate(_det4_f2xy(A.tolist(), B.tolist())))
         assert _quartic_key(tuple(c % 2 for c in f.coeffs)) == want, f.coeffs
 
 
 def test_quartic_census_peak_allocation():
-    # bincount copies the keys it tallies to intp; 2^15 keys at a time keep
-    # that copy at 256 KB, where one 2^18-key block would need 2 MB
+    # a 256-row block's coefficient planes and leaves are 32 KB each, and the
+    # depth-first split holds one leaf per level: the cold build stays small
     tracemalloc.start()
     try:
         _quartic_pair_table.__wrapped__()  # a cold build, bypassing the cache

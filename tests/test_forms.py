@@ -12,6 +12,7 @@ from pencilorbits.forms import (
     height,
     is_separable_mod_p,
     real_root_count,
+    separable_factor_count_mod_p,
     sl2_act,
 )
 from conftest import factor, factor_by_trial_division, random_nondegenerate, random_sl2
@@ -126,6 +127,17 @@ def test_factorization_type_matches_oracle_every_form():
                 if len(reduced) - 1 < n:
                     parts.append((1, n - (len(reduced) - 1)))
                 assert factorization_type_mod_p(f, p).parts == tuple(sorted(parts)), (p, coeffs)
+
+
+def test_separable_factor_count_is_the_factorization_type_m():
+    # every separable form of degree 2 and 4 mod p = 2, 3, 5 and of degree 2
+    # mod 7: the squarefree shortcut reads the same m as the full type
+    for p, degrees in ((2, (2, 4)), (3, (2, 4)), (5, (2, 4)), (7, (2,))):
+        for n in degrees:
+            for coeffs in itertools.product(range(p), repeat=n + 1):
+                f = BinaryForm(coeffs)
+                if is_separable_mod_p(f, p):
+                    assert separable_factor_count_mod_p(f, p) == factorization_type_mod_p(f, p).m, (p, coeffs)
 
 
 def test_separability(rng):

@@ -353,6 +353,18 @@ def test_symmetric_pair_entries_are_integers():
             SymmetricPair(((1,),), ((bad,),))
 
 
+def test_symmetric_pair_shape_checks():
+    I2 = ((1, 0), (0, 1))
+    for bad in (((1, 0), (0,)), ((1, 0, 0), (0, 1, 0)), ((1, 2),)):
+        with pytest.raises(ValueError, match="square"):
+            SymmetricPair(bad, I2)
+    with pytest.raises(ValueError, match="symmetric"):
+        SymmetricPair(I2, ((0, 1), (2, 0)))
+    with pytest.raises(ValueError, match="equal size"):
+        SymmetricPair(I2, ((1,),))
+    assert SymmetricPair((), ()).n == 0
+
+
 def test_x_minus_T_needs_nonzero_f0():
     # f = x y + y^2 has f0 = 0: the pair exists, but the x - T class lives
     # in K_f, which needs f0 != 0
