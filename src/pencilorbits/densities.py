@@ -72,8 +72,9 @@ def _mu_real_chunk(args) -> np.ndarray:
     n, take, child_seed = args
     rng = np.random.default_rng(child_seed)
     K = rng.integers(0, 1 << DYADIC_BITS, size=(take, n + 1), dtype=np.int64)
-    C = 2 * K + 1 - (1 << DYADIC_BITS)  # odd numerators: f0, fn never 0
-    roots = count_real_roots_batch(C)
+    K *= 2  # in place, K becomes the odd numerators: f0, fn never 0
+    K += 1 - (1 << DYADIC_BITS)
+    roots = count_real_roots_batch(K)
     m = (roots + 1) // 2  # even count generically; ceil on the null locus
     return np.bincount(m, minlength=n // 2 + 1)[: n // 2 + 1]
 
@@ -164,7 +165,11 @@ def factor_count_distribution(n: int, p: int) -> tuple[int, ...]:
     With w = 1 - y each factor is (1 - w u^d)^(A_d) / (1 - u^d)^(A_d), and
     prod_d (1 - u^d)^(-A_d) = 1 / ((1 - u)(1 - p u)) is the zeta function
     of P^1, whose u^s coefficient is N_s = 1 + p + ... + p^s
-    (`_factor_count_gf`).  Expanding (1 - w u^d)^(A_d) gives the terms
+    (`_factor_count_gf`).  The rows of P(u, w) = prod_d (1 - w u^d)^(A_d)
+    come from one series per integer q, shared by every n and grown by
+    s P_s = sum_(t <= s) c_t P_(s - t), c_t(w) = -sum_(d | t) d A_d w^(t/d),
+    the u^s coefficient of u dP/du = P * u d/du log P
+    (`_squarefree_series`).  Expanding (1 - w u^d)^(A_d) gives the terms
     (-1)^j comb(A_d, j) w^j u^(d j); A_d is a polynomial in p of degree d
     and comb(A, j) the polynomial A (A - 1) ... (A - j + 1) / j! in A of
     degree j, so a product of such terms with total u-degree s has degree
@@ -172,7 +177,7 @@ def factor_count_distribution(n: int, p: int) -> tuple[int, ...]:
     involve p, so each count is (p - 1) times a polynomial of degree <= n.
     Every A_d is a nonnegative integer at each integer q >= 1 (it counts
     aperiodic necklaces of length d on q letters; A_d(1) = 0 for d >= 2),
-    where math.comb therefore agrees with the polynomial, so the count at
+    where each factor is the polynomial these terms expand, so the count at
     q = 1..n + 2 gives n + 2 values of a polynomial of degree <= n + 1."""
     binom = [math.comb(p - 1, k) for k in range(n + 2)]
     return tuple(_dot(diffs, binom) for diffs in _forward_differences(n))
@@ -199,35 +204,54 @@ def _forward_differences(n: int) -> tuple[tuple[int, ...], ...]:
 
 def _factor_count_gf(n: int, q: int) -> tuple[int, ...]:
     """factor_count_distribution(n, q) at one integer q >= 1: the u^n
-    coefficient of prod_d (1 - w u^d)^(A_d) / ((1 - u)(1 - q u)) as a
-    polynomial in w, then w = 1 - y (see factor_count_distribution)."""
-    # G[s][k]: coefficient of u^s w^k; k <= s, as every term has d >= 1
-    G = [[0] * (s + 1) for s in range(n + 1)]
-    G[0][0] = 1
-    for d in range(1, n + 1):
-        A = q + 1 if d == 1 else monic_irreducible_count(d, q)
-        terms = [(d * j, j, (-1) ** j * math.comb(A, j)) for j in range(1, min(A, n // d) + 1)]
-        # in place from the top: row s takes only rows below it, still old
-        for s in range(n, d - 1, -1):
-            row = G[s]
-            for t, j, c in terms:
-                if t > s:
-                    break
-                src = G[s - t]
-                for k, v in enumerate(src):
-                    if v:
-                        row[k + j] += c * v
+    coefficient of P(u, w) / ((1 - u)(1 - q u)) as a polynomial in w, with
+    P = prod_d (1 - w u^d)^(A_d) from `_squarefree_series`, then w = 1 - y
+    (see factor_count_distribution)."""
+    P, a = _squarefree_series(q)
+    for s in range(len(P), n + 1):  # the next row P_s and weight a_s
+        a.append(q**s + 1 - sum(a[e] for e in range(1, s) if s % e == 0))
+        row = [0] * (s + 1)
+        for d, c in enumerate(a[1:], 1):
+            if c:
+                for j in range(1, s // d + 1):  # t = d j
+                    for k, v in enumerate(P[s - d * j], j):
+                        row[k] -= c * v
+        P.append([v // s for v in row])
     # H[k]: the u^n w^k coefficient after the zeta factor sum_s N_s u^s
     H = [0] * (n + 1)
     N = 1  # N_(n - s) for s = n, n - 1, ...
     for s in range(n, -1, -1):
-        for k, v in enumerate(G[s]):
+        for k, v in enumerate(P[s]):
             H[k] += v * N
         N = N * q + 1
-    # w^k = sum_m comb(k, m) (-y)^m
-    return tuple(
-        (q - 1) * (-1) ** m * sum(math.comb(k, m) * H[k] for k in range(m, n + 1)) for m in range(n + 1)
-    )
+    # w^k = sum_m comb(k, m) (-y)^m, comb(k, m) from Pascal's row k
+    Y, row = [0] * (n + 1), [1]
+    for h in H:
+        for m, c in enumerate(row):
+            Y[m] += c * h
+        row = [1] + [x + y for x, y in zip(row, row[1:])] + [1]
+    return tuple((q - 1) * (-1) ** m * y for m, y in enumerate(Y))
+
+
+@lru_cache(maxsize=64)
+def _squarefree_series(q: int) -> tuple[list[list[int]], list[int]]:
+    """(P, a) at one integer q >= 1: the rows so far of
+    P(u, w) = prod_d (1 - w u^d)^(A_d), P[s] the u^s coefficient as its
+    w-coefficients (w-degree <= s, as every factor has d >= 1), and the
+    weights a[d] = d A_d, a[0] = 0.  The rows do not depend on the degree n
+    asked of `_factor_count_gf`, so every n shares them; both lists start at
+    s = 0 (P_0 = 1), and `_factor_count_gf` extends them on demand.
+
+    Recurrence: log P = sum_d A_d log(1 - w u^d), so
+    u d/du log P = -sum_d d A_d sum_(j >= 1) w^j u^(d j) = sum_t c_t u^t with
+    c_t(w) = -sum_(d | t) d A_d w^(t/d), and u dP/du = P * u d/du log P reads
+    s P_s = sum_(t = 1..s) c_t P_(s - t) coefficient by coefficient in u.
+    P_s has integer coefficients, so the division by s is exact.  Moebius
+    inversion of A_d (factor_count_distribution) gives
+    sum_(e | d) a_e = q^d + 1 at every q, the number of F_(q^d)-points of
+    P^1 when q is a prime power, and so each a_d from the smaller ones:
+    a_1 = q + 1, and a_d = 0 for d >= 2 at q = 1."""
+    return [[1]], [0]
 
 
 def mu_p_distribution(n: int, p: int) -> tuple[Fraction, ...]:

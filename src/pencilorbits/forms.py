@@ -1,7 +1,6 @@
 """Integral binary n-ic forms: invariants, SL2(Z) action, real and mod-p root
 statistics, and seeded random sampling."""
 
-import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,13 +41,6 @@ class BinaryForm:
     def univariate(self) -> list[int]:
         """f(x, 1) as a descending coefficient list (not stripped)."""
         return list(self.coeffs)
-
-    def to_json(self) -> str:
-        return json.dumps([str(c) for c in self.coeffs])
-
-    @classmethod
-    def from_json(cls, s: str) -> "BinaryForm":
-        return cls(tuple(int(c) for c in json.loads(s)))
 
     def __str__(self):
         n = self.degree

@@ -74,6 +74,20 @@ split point).
   test is itself exact.
 * Overflow leaves a non-finite value, so the stage needs no size or degree
   guard.
+
+Exact regime.  While every image on the frontier is exact, E is the 0-d
+zero and `_images` forms only [T; TR] q and A = [T; TR] |q|: no [T; TR] E,
+no error columns for new rows and no gather of them.  When A < 2^53
+everywhere it returns the 0-d zero again.  This is sound: T has a unit
+diagonal and nonnegative entries, so A >= |q| coefficientwise, and A < 2^53
+puts every input below 2^53.  A frontier image is exact by the regime, and
+a new row's coefficients are int64 values below 2^53, converted exactly
+(one of 2^53 or more converts to at least 2^53).  So E = 0 and A < 2^53,
+and the bullet above makes every image exact.  The first step with some
+A >= 2^53 (or a non-finite A) returns the bound E' = (g A) r with E'_j = 0
+where A_j < 2^53, the arrays of the general case, which the batch keeps
+from then on.  Under the 0-d zero every coefficient is certain: a zero is a
+certain zero, so only the end coefficients and finiteness decide `good`.
 """
 
 import sys
@@ -117,37 +131,50 @@ def _descartes(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     step = max(1, CHUNK_ENTRIES // (2 * n1 * n1))
     counts = np.zeros(S, np.int64)
     ok = np.ones(S, bool)
-    q = E = np.empty((n1, 0))
+    q, E = np.empty((n1, 0)), np.float64(0)  # a 0-d E: the exact regime
     rows = level = np.empty(0, np.int64)
     start = 0
     while start < S or len(rows):
         stop = min(S, start + max(0, step - len(rows) // 2))
         new, F = np.arange(start, stop), C[start:stop].T.astype(np.float64)
         start = stop
-        q, E = np.hstack([q, F, F * flip]), np.hstack([E, np.zeros((n1, 2 * len(new)))])
+        q = np.hstack([q, F, F * flip])
+        if E.ndim:
+            E = np.hstack([E, np.zeros((n1, 2 * len(new)))])
         rows = np.concatenate([rows, new, new])
         level = np.concatenate([level, np.full(2 * len(new), -1)]) + 1
         Q, E = _images(q, E, M)  # (2, n1, nodes): the two halves of every node
         rows, level = np.broadcast_to(rows, Q.shape[::2]), np.broadcast_to(level, Q.shape[::2])
         sure = np.abs(Q) > E
-        good = (sure | (E == 0)).all(axis=1) & sure[:, 0] & sure[:, -1] & np.isfinite(Q).all(axis=1)
+        good = sure[:, 0] & sure[:, -1] & np.isfinite(Q).all(axis=1)
+        if E.ndim:
+            good &= (sure | (E == 0)).all(axis=1)
         pos = Q > 0  # a certain zero counts as negative
         V = (pos[:, 1:] != pos[:, :-1]).sum(axis=1, dtype=np.int32)
         np.add.at(counts, rows[good & (V == 1)], 1)
         go = good & (V >= 2)
         ok[rows[~good | (go & (level == DEPTH))]] = False
         go &= ok[rows]
-        q, E = Q.transpose(1, 0, 2)[:, go], E.transpose(1, 0, 2)[:, go]
-        rows, level = rows[go], level[go]
+        q, rows, level = Q.transpose(1, 0, 2)[:, go], rows[go], level[go]
+        if E.ndim:
+            E = E.transpose(1, 0, 2)[:, go]
     return counts, ok
 
 
 def _images(q: np.ndarray, E: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Q, E') for the images Q of the columns of q under M, shaped
     (2, n+1, columns), with E' an upward-rounded bound on their distance from
-    the exact images when E bounds that of q (module docstring)."""
-    Q, A, EM = ((M @ x).reshape(2, *q.shape) for x in (q, np.abs(q), E))
-    exact = (EM == 0) & (A < _FLOAT_EXACT)
+    the exact images when E bounds that of q (module docstring).  A 0-d zero
+    E says every column is exact; E' is the 0-d zero again when every image
+    is (the exact regime)."""
+    Q, A = ((M @ x).reshape(2, *q.shape) for x in (q, np.abs(q)))
+    if E.ndim:
+        EM = (M @ E).reshape(Q.shape)
+        exact = (EM == 0) & (A < _FLOAT_EXACT)
+    elif A.max() < _FLOAT_EXACT:
+        return Q, E
+    else:
+        EM, exact = E, A < _FLOAT_EXACT
     n1 = len(q)
     A *= (n1 + 3) * _U  # in place, A becomes E' = (EM + g A) r
     A += EM

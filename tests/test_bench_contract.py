@@ -31,10 +31,17 @@ def test_census_caches_are_cleared_between_rounds():
 
 
 def test_density_caches_are_cleared_between_rounds():
-    # the density workload times the Newton tables and the per-prime counts
-    # cold only if find_caches sees them as densities' own lru_caches
+    # the density workload times the series rows, the Newton tables and the
+    # per-prime counts cold only if find_caches sees them as densities' own
+    # lru_caches
     from pencilorbits import densities
 
-    for fn in (densities._forward_differences, densities._weighted_differences, densities.factor_count_distribution):
+    cached = (
+        densities._forward_differences,
+        densities._weighted_differences,
+        densities.factor_count_distribution,
+        densities._squarefree_series,
+    )
+    for fn in cached:
         assert callable(getattr(fn, "cache_clear", None)), fn
         assert fn.__module__ == "pencilorbits.densities", fn

@@ -65,10 +65,16 @@ def test_mu_p_enumeration_matches_combinatorial_count():
 
 def test_generating_function_count_matches_dp():
     # the squarefree generating function against the multiset count at
-    # every q the Newton form is built from
-    for n in range(1, 23):
-        for q in range(1, n + 3):
-            assert D._factor_count_gf(n, q) == factor_count_dp_oracle(n, q), (n, q)
+    # every q the Newton form is built from; the series rows grow on demand
+    # and are shared by every n, so the values must not depend on the order
+    # of the calls: from cold caches, n = 22 first and then 1..21, and
+    # 1..22 ascending
+    want = {(n, q): factor_count_dp_oracle(n, q) for n in range(1, 23) for q in range(1, n + 3)}
+    for order in ([22, *range(1, 22)], range(1, 23)):
+        D._squarefree_series.cache_clear()
+        for n in order:
+            for q in range(1, n + 3):
+                assert D._factor_count_gf(n, q) == want[n, q], (n, q)
 
 
 def test_closed_form_matches_dp():

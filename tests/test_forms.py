@@ -144,8 +144,3 @@ def test_separability(rng):
     assert is_separable_mod_p(BinaryForm((1, 1, 1)), 2)
     assert not is_separable_mod_p(BinaryForm((1, 2, 1)), 2)  # (x+y)^2
     assert not is_separable_mod_p(BinaryForm((0, 0, 1)), 5)  # y^2 at (1:0)
-
-
-def test_json_round_trip():
-    f = BinaryForm((10**30, -3, 0, 0, 12))
-    assert BinaryForm.from_json(f.to_json()) == f

@@ -188,6 +188,55 @@ def test_rows_beyond_2_53_count_exactly():
         assert count_real_roots_batch(np.array(group, dtype=np.int64)).tolist() == [_exact(r) for r in group]
 
 
+def _spy_images(monkeypatch):
+    """Record, per _images call, whether its E argument and its E' are the
+    0-d zero of the exact regime."""
+    images, seen = realroots._images, []
+
+    def spy(q, E, M):
+        Q, E2 = images(q, E, M)
+        seen.append((E.ndim == 0, E2.ndim == 0))
+        return Q, E2
+
+    monkeypatch.setattr(realroots, "_images", spy)
+    return seen
+
+
+def test_exact_regime_turns_inexact_mid_batch(monkeypatch):
+    # n = 10 with coefficients near 2^40: the level-0 images stay below 2^53
+    # (binomial sums below 2^10 times 2^40), the level-1 ones cross it, so the
+    # batch starts exact and switches to error arrays part of the way down
+    rng = np.random.default_rng(18)
+    C = rng.integers(-(1 << 40), 1 << 40, size=(300, 11))
+    C[:, 0] |= 1
+    seen = _spy_images(monkeypatch)
+    got = count_real_roots_batch(C)
+    assert seen[0] == (True, True) and (True, False) in seen and seen[-1] == (False, False)
+    assert got.tolist() == [_exact(r) for r in C.tolist()]
+
+
+def test_exact_regime_left_at_an_input_beyond_2_53(monkeypatch):
+    # one int64 input of 2^53 or more rounds on conversion: the first step
+    # must already carry error arrays, whatever the other rows
+    rng = np.random.default_rng(19)
+    C = 2 * rng.integers(0, 1 << 12, size=(200, 5)) + 1 - (1 << 12)
+    C[7] = [1, 0, -(2**60 + 1), 0, 2**58 + 3]
+    seen = _spy_images(monkeypatch)
+    got = count_real_roots_batch(C)
+    assert seen[0] == (True, False) and not any(E2 for _, E2 in seen)
+    assert got.tolist() == [_exact(r) for r in C.tolist()]
+
+
+def test_dyadic_quartics_stay_in_the_exact_regime(monkeypatch):
+    # the density sampler's 13-bit odd numerators at n = 4 never leave the
+    # exact regime: every _images call takes and returns the 0-d zero
+    rng = np.random.default_rng(20)
+    C = 2 * rng.integers(0, 1 << 12, size=(20000, 5)) + 1 - (1 << 12)
+    seen = _spy_images(monkeypatch)
+    count_real_roots_batch(C)
+    assert len(seen) > 1 and all(E and E2 for E, E2 in seen)
+
+
 def test_stage_holds_under_any_rounding(monkeypatch):
     # the verdict may trust a coefficient only as far as its bound: moving
     # every computed coefficient anywhere within +-E (far beyond the actual
