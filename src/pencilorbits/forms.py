@@ -93,9 +93,6 @@ class FactorizationType:
     def m(self) -> int:
         return len(self.parts)
 
-    def total_degree(self) -> int:
-        return sum(d * e for d, e in self.parts)
-
 
 def evaluate(f: BinaryForm, x: int, y: int) -> int:
     return intpoly.evaluate_binary(list(f.coeffs), x, y)

@@ -38,9 +38,6 @@ class SymmetricPair:
     def n(self) -> int:
         return len(self.A)
 
-    def to_json(self) -> str:
-        return json.dumps({"A": [list(r) for r in self.A], "B": [list(r) for r in self.B]})
-
     @classmethod
     def from_json(cls, s: str) -> "SymmetricPair":
         d = json.loads(s)

@@ -294,11 +294,6 @@ class BasedIdeal:
         if len(self.basis) != self.form.degree:
             raise ValueError("basis must have n elements")
 
-    def scaled(self, kappa) -> "BasedIdeal":
-        if isinstance(kappa, (int, Fraction)):
-            kappa = _coerce(self.form, kappa)
-        return BasedIdeal(self.form, tuple(algebra_mul(kappa, b) for b in self.basis))
-
 
 def ideal_power_basis(f: BinaryForm, k: int) -> BasedIdeal:
     """I_f(k) = <1, theta, ..., theta^k, zeta_(k+1), ..., zeta_(n-1)> for

@@ -9,7 +9,7 @@ from pencilorbits.densities import monic_irreducible_count
 from pencilorbits.forms import BinaryForm, UnimodularMatrix2, discriminant, evaluate, random_nondegenerate_form
 from pencilorbits.numutil import det, is_prime, isqrt_exact, solve
 from pencilorbits.orbits import CurvePoint
-from pencilorbits.rings import SquareClassVerdict, algebra_mul
+from pencilorbits.rings import AlgebraElement, BasedIdeal, SquareClassVerdict, algebra_mul
 from pencilorbits.search import DescentBudgetError
 
 random_nondegenerate = random_nondegenerate_form  # the library's sampler, under the tests' name
@@ -121,6 +121,11 @@ def factor_count_dp_oracle(n: int, p: int) -> tuple[int, ...]:
     return tuple((p - 1) * dp[n][m] for m in range(n + 1))
 
 
+def scaled_ideal(I: BasedIdeal, kappa: AlgebraElement) -> BasedIdeal:
+    """kappa I, on the basis kappa b for b in the basis of I."""
+    return BasedIdeal(I.form, tuple(algebra_mul(kappa, b) for b in I.basis))
+
+
 def invariant_form_interpolation_oracle(A, B) -> tuple[int, ...]:
     """Oracle for orbits.invariant_form: the coefficients of
     (-1)^(n/2) det(A x - B y), by evaluating det(A t - B) at t = 0..n and
@@ -131,6 +136,30 @@ def invariant_form_interpolation_oracle(A, B) -> tuple[int, ...]:
     assert all(c.denominator == 1 for c in coeffs)
     sign = (-1) ** (n // 2)
     return tuple(sign * int(coeffs[n - i]) for i in range(n + 1))
+
+
+def is_prime_13_bases(n: int) -> bool:
+    """Oracle for numutil.is_prime: Miller-Rabin with all 13 prime bases
+    2..41 whatever the size of n, the test is_prime ran before it chose the
+    number of bases by n.  Proven below psi_13 = 3317044064679887385961981."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @pytest.fixture

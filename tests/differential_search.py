@@ -2,7 +2,7 @@
 implementations kept in `tests/conftest.py`.
 
     PYTHONPATH=src python tests/differential_search.py [--curves 10000]
-        [--degrees 2,4,6] [--heights 1000,1000,100] [--bound 12] [--seed 0]
+        [--degrees 2,4,6] [--heights 1000,1000,1000] [--bound 12] [--seed 0]
 
 Not collected by pytest as a test module (the file name does not start with
 ``test_``); `tests/test_search.py` calls `main` on a small argv.  For each
@@ -13,9 +13,9 @@ descent branch), and once with the reference point-search loop and
 `_takes_unit_square_value` replaced by the square-set scan and the
 multiplicities of `gfpoly.squarefree_decomposition`.  The records (verdict
 per place, overall verdict and point) must be equal.  Prints one line per
-degree and returns 1 on any disagreement.  The sextic default height is
-100: at height 1000 a sextic discriminant can be the product of two 55-bit
-primes, which Pollard rho takes minutes to split.
+degree and returns 1 on any disagreement.  At height 1000 a sextic
+discriminant can be the product of two 55-bit primes; `numutil.factorize`
+splits those by ECM once Pollard's rho has spent its step budget.
 """
 
 import argparse
@@ -51,7 +51,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--curves", type=int, default=10_000)
     ap.add_argument("--degrees", default="2,4,6")
-    ap.add_argument("--heights", default="1000,1000,100", help="one per degree")
+    ap.add_argument("--heights", default="1000,1000,1000", help="one per degree")
     ap.add_argument("--bound", type=int, default=12)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 
 from pencilorbits import cli, gfpoly, intpoly, numutil
 
-from conftest import random_unimodular
+from conftest import is_prime_13_bases, random_unimodular
 
 
 def fraction_det(M):
@@ -114,9 +115,35 @@ def test_is_prime_rejects_psi_12_and_psi_13():
         assert numutil.is_prime(q)
 
 
-def _floyd_rho(n, rng):
+def test_is_prime_at_each_psi_k():
+    # psi_k is composite and a strong probable prime to the first k bases,
+    # so is_prime must take more than k bases there; the primes just above
+    # psi_k, and the composites before the first of them, get the verdict
+    # of the 13-base test
+    for k, psi in enumerate(numutil._PSI, 1):
+        factors = numutil.factorize(psi)
+        assert sum(factors.values()) > 1 and math.prod(p**e for p, e in factors.items()) == psi
+        assert numutil._strong_probable_prime(psi, numutil._MR_BASES[:k])
+        assert not numutil.is_prime(psi)
+        n = psi + 1
+        while not is_prime_13_bases(n):
+            assert not numutil.is_prime(n), n
+            n += 1
+        assert numutil.is_prime(n), (k, n)
+
+
+def test_is_prime_matches_the_13_base_test():
+    rng = random.Random(16)
+    for _ in range(3000):
+        bits = rng.randint(2, 82)
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        assert numutil.is_prime(n) == is_prime_13_bases(n), n
+
+
+def _floyd_rho(n, rng, budget):
     """Oracle: Pollard's rho with Floyd's cycle search and one gcd per step,
-    the splitting step factorize used before Brent's batched variant."""
+    the splitting step factorize used before Brent's batched variant.  It
+    ignores the step budget, so factorize never reaches ECM through it."""
     while True:
         c = rng.randrange(1, n)
         x = y = rng.randrange(0, n)
@@ -130,6 +157,11 @@ def _floyd_rho(n, rng):
             return d
 
 
+# the Disc of the 11th form random_nondegenerate_form(6, 1000, Random(6))
+# draws: two 55-bit primes, which Pollard's rho alone took minutes to split
+SEXTIC_DISC = 2**6 * 23112393306397807 * 18812562604397719
+P25, P31 = 16777259, 2**31 - 1
+
 COMPOSITES = {
     561: {3: 1, 11: 1, 17: 1},
     600851475143: {71: 1, 839: 1, 1471: 1, 6857: 1},
@@ -142,32 +174,62 @@ COMPOSITES = {
     2**67 - 1: {193707721: 1, 761838257287: 1},
     (2**31 - 1) * (2**61 - 1): {2147483647: 1, 2305843009213693951: 1},
     PSI_12: {399165290221: 1, 798330580441: 1},
+    PSI_13: {1287836182261: 1, 2575672364521: 1},
+    P25**2: {P25: 2},
+    P25**3: {P25: 3},
+    P31**2: {P31: 2},
+    P31**3: {P31: 3},
+    1073741789 * 1073741783: {1073741789: 1, 1073741783: 1},
+    SEXTIC_DISC: {2: 6, 23112393306397807: 1, 18812562604397719: 1},
 }
 
 
 def test_factorize_fixed_composites(monkeypatch):
+    # three splitting paths give the same dicts: rho under its budget, then
+    # the perfect-power test and ECM (the library's path); the unbounded
+    # Floyd oracle alone (but for the three whose second-largest prime takes
+    # it seconds to minutes); ECM alone, as rho with a budget of 0 steps
+    # gives up at once
     for n, want in COMPOSITES.items():
         assert math.prod(p**e for p, e in want.items()) == n
         assert all(numutil.is_prime(p) for p in want)
         assert numutil.factorize(n) == want
-    # the Floyd oracle gives the same dicts (psi_12, which takes it seconds,
-    # is checked above against its known factors)
     monkeypatch.setattr(numutil, "_pollard_rho", _floyd_rho)
     for n, want in COMPOSITES.items():
-        if n != PSI_12:
+        if n not in (PSI_12, PSI_13, SEXTIC_DISC):
             assert numutil.factorize(n) == want
+    monkeypatch.undo()
+    monkeypatch.setattr(numutil, "_RHO_BUDGET", 0)
+    for n, want in COMPOSITES.items():
+        assert numutil.factorize(n) == want
+
+
+def test_perfect_power():
+    assert numutil._perfect_power(P25**2) == (P25, 2)
+    assert numutil._perfect_power(P31**3) == (P31, 3)
+    assert numutil._perfect_power((P25 * P31) ** 5) == (P25 * P31, 5)
+    assert numutil._perfect_power(53**7) == (53, 7)
+    for n in (P25**2 * P31, P31**3 + 2, 53 * 59, 1073741789 * 1073741783):
+        assert numutil._perfect_power(n) is None, n
+
+
+def test_factorize_is_bounded_on_a_sextic_discriminant():
+    t0 = time.perf_counter()
+    assert numutil.factorize(SEXTIC_DISC) == {2: 6, 23112393306397807: 1, 18812562604397719: 1}
+    assert time.perf_counter() - t0 < 10
 
 
 def test_survey_stdout_does_not_depend_on_the_rho_variant(monkeypatch):
     argv = ["survey", "--n", "4", "--height", "1000", "--point-bound", "12", "--count", "60", "--seed", "7"]
     outs = []
-    for rho in (numutil._pollard_rho, _floyd_rho):
-        monkeypatch.setattr(numutil, "_pollard_rho", rho)
-        buf = io.StringIO()
-        with redirect_stdout(buf):
-            assert cli.run(argv) == 0
+    for name, value in (("_pollard_rho", numutil._pollard_rho), ("_pollard_rho", _floyd_rho), ("_RHO_BUDGET", 0)):
+        with monkeypatch.context() as m:
+            m.setattr(numutil, name, value)
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                assert cli.run(argv) == 0
         outs.append(buf.getvalue())
-    assert outs[0] == outs[1] and outs[0].count("\n") >= 60
+    assert outs[0] == outs[1] == outs[2] and outs[0].count("\n") >= 60
 
 
 def test_one_prime_check_for_every_local_computation():

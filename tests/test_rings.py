@@ -26,7 +26,7 @@ from pencilorbits.rings import (
     to_zeta_coords,
     zeta_element,
 )
-from conftest import factor, random_nondegenerate, random_unimodular, serial_square_class
+from conftest import factor, random_nondegenerate, random_unimodular, scaled_ideal, serial_square_class
 
 
 def test_structure_constants_examples():
@@ -105,7 +105,7 @@ def test_ideal_power_basis_and_norms():
         assert ideal_norm(ideal_power_basis(f, k)) == Fraction(1, 3**k)
     with pytest.raises(ValueError):
         ideal_power_basis(f, 4)
-    assert ideal_norm(I1.scaled(2)) == Fraction(16, 3)
+    assert ideal_norm(scaled_ideal(I1, rings.element_one(f) * 2)) == Fraction(16, 3)
 
 
 def test_ideal_products_span(rng):
