@@ -150,36 +150,23 @@ def _pth_root(f, mod):
     return g
 
 
-def distinct_degree_classes(f, powers, mod):
-    """The distinct-degree classes (d, product of all monic irreducible
-    factors of degree d) of a monic squarefree f, from an iterator over the
-    powers x^(p^d) mod f for d = 1, 2, ...: g_d = gcd(x^(p^d) - x, v),
-    v <- v / g_d, then the last class, of degree deg v.  Every class divides
-    f, so the remainders mod f give the same gcds as remainders mod v.  Each
-    power is taken only while a class of degree d can remain."""
-    v = list(f)
-    d = 0
-    while len(v) - 1 >= 2 * (d + 1):
-        d += 1
-        g = gf_gcd(add_mod(next(powers), [mod - 1, 0], mod), v, mod)
-        if len(g) > 1:
-            yield d, g
-            v, _ = gf_divmod(v, g, mod)
-    if len(v) > 1:
-        yield len(v) - 1, v
-
-
 def distinct_degree_factorization(f, mod):
     """[(d, product of all monic irreducible factors of degree d)] for a
-    monic squarefree f."""
-
-    def powers():  # x^(p^d) mod f by repeated p-th powers
-        h = [1, 0]
-        while True:
-            h = gf_powmod(h, mod, f, mod)
-            yield h
-
-    return list(distinct_degree_classes(f, powers(), mod))
+    monic squarefree f: g_d = gcd(x^(p^d) - x, v), v <- v / g_d, then the
+    last class, of degree deg v.  Every class divides f, so the remainders
+    mod f give the same gcds as remainders mod v.  Each power x^(p^d) mod f
+    is taken only while a class of degree d can remain."""
+    out, v, h, d = [], list(f), [1, 0], 0
+    while len(v) - 1 >= 2 * (d + 1):
+        d += 1
+        h = gf_powmod(h, mod, f, mod)
+        g = gf_gcd(add_mod(h, [mod - 1, 0], mod), v, mod)
+        if len(g) > 1:
+            out.append((d, g))
+            v, _ = gf_divmod(v, g, mod)
+    if len(v) > 1:
+        out.append((len(v) - 1, v))
+    return out
 
 
 def add_mod(a, b, mod):

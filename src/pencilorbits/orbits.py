@@ -6,6 +6,7 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, prod
 
 import numpy as np
@@ -25,8 +26,11 @@ class SymmetricPair:
 
     def __post_init__(self):
         for name in ("A", "B"):
-            M = tuple(tuple(map(_integer_entry, row)) for row in getattr(self, name))
-            object.__setattr__(self, name, M)
+            M = getattr(self, name)
+            # a tuple of tuples of exact ints is kept as it is (type(True) is bool)
+            if type(M) is not tuple or {*map(type, M)} - {tuple} or {*map(type, chain.from_iterable(M))} - {int}:
+                M = tuple(tuple(map(_integer_entry, row)) for row in M)
+                object.__setattr__(self, name, M)
             if not set(map(len, M)) <= {len(M)}:
                 raise ValueError("matrices must be square")
             if M != tuple(zip(*M)):
@@ -149,7 +153,14 @@ def template_pair(f: BinaryForm, c: int) -> SymmetricPair:
 def pair_from_point(f: BinaryForm, P: CurvePoint) -> SymmetricPair:
     """Integral pair with invariant form exactly f, from a point on
     z^2 = f(x, y): move the point to (0, 1) by gamma in SL2(Z), instantiate
-    the template there, and pull back through the pencil action."""
+    the template there, and pull back through the pencil action.
+
+    The determinant identity is checked on the sparse template pair v, whose
+    form must be f' = gamma.f, and not on the dense pulled-back pair: for
+    delta = (a b; c d), sl2_act_on_pair gives A'x - B'y = A(ax + cy) - B(bx + dy),
+    so f_(delta.v)(x, y) = f_v(ax + cy, bx + dy) = (delta.f_v)(x, y), a
+    polynomial identity.  With delta = gamma^-1 the result has invariant form
+    gamma^-1.(gamma.f) = f exactly when f_v = f'."""
     if f.disc == 0:
         raise ValueError("Disc(f) = 0")
     if not P.on_curve(f):
@@ -159,10 +170,9 @@ def pair_from_point(f: BinaryForm, P: CurvePoint) -> SymmetricPair:
     gamma = UnimodularMatrix2(s, -r, x0, y0)
     fprime = sl2_act(gamma, f)
     v = template_pair(fprime, P.z0)
-    result = sl2_act_on_pair(gamma.inverse(), v)
-    if invariant_form(result) != f:
+    if invariant_form(v) != fprime:
         raise ArithmeticError("constructed pair does not have invariant form f")
-    return result
+    return sl2_act_on_pair(gamma.inverse(), v)
 
 
 def _bezout(x0: int, y0: int) -> tuple[int, int]:

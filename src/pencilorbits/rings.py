@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from . import gfpoly, intpoly
+from . import intpoly
 from .forms import BinaryForm
 from .numutil import det, hnf_rows, is_prime, solve, solve_columns
 
@@ -377,23 +377,30 @@ def same_square_class(alpha: AlgebraElement, beta: AlgebraElement, trials: int =
     DISTINCT is certain: witnessed by a real root of f(x, 1) where
     gamma = alpha*beta is negative (two Tarski queries: TaQ(G, f) < TaQ(1, f)),
     or by a residue field at a good prime where gamma is not a square.  At
-    each of the `trials` smallest odd primes p of good reduction, with fbar
-    the monic reduction of f(x, 1) mod p, each distinct-degree product g_d of
-    fbar is tested once: by the Chinese remainder theorem,
-    gamma^((p^d - 1)/2) = 1 mod g_d iff gamma is a square in every residue
-    field of degree d.  EQUAL after `trials` consistent primes is heuristic.
-    Deterministic.  A good prime divides neither f0 nor Disc(f): fbar is squarefree.
+    each of the `trials` smallest odd primes p of good reduction (dividing
+    none of f0, Disc(f), D and Res(f(x, 1), G) for gamma = G(theta)/D), with
+    fbar the monic reduction of f(x, 1) mod p, gamma is a square in every
+    residue field of A_p = F_p[x]/(fbar) iff rank(uQ - I) = rank(Q - I) mod p,
+    where Q is the matrix of the Frobenius map sigma(v) = v^p on A_p
+    (Berlekamp's Q-matrix: column j is x^(jp) mod fbar) and u is
+    multiplication by gamma^((p-1)/2).  EQUAL after `trials` consistent primes
+    is heuristic.  Deterministic.
 
-    Both the distinct-degree powers x^(p^d) and the test powers come from
-    the Frobenius map sigma(v) = v^p, which is F_p-linear on
-    A_p = F_p[x]/(fbar): with Q_p the matrix whose column j is x^(jp) mod
-    fbar (Berlekamp's Q-matrix), x^(p^d) = Q_p x^(p^(d-1)), and
-    gamma^((p^d - 1)/2) = u sigma(gamma^((p^(d-1) - 1)/2)) with
-    u = gamma^((p-1)/2), since (p^d - 1)/2 = (p - 1)/2 + p (p^(d-1) - 1)/2.
+    Proof of the rank test.  fbar is squarefree (p is good), so A_p is a
+    product of finite fields F_i; p is odd and gamma is a unit, so
+    B = A_p[Y]/(Y^2 - gamma) is etale too, a product of fields: F_i x F_i
+    where gamma is a square in F_i, a quadratic extension of F_i where not.
+    The Frobenius fixed space of a product of k finite fields of
+    characteristic p is F_p^k, of dimension k (Berlekamp's count), so
+    dim ker(Q - I) is the number of fields F_i.  On B = A_p + A_p Y,
+    sigma(a + bY) = sigma(a) + u sigma(b) Y as Y^p = (Y^2)^((p-1)/2) Y, so
+    Frobenius is Q on A_p plus uQ on A_p Y, and dim ker(uQ - I) is B's
+    number of components less the number of F_i: the number of F_i in which
+    gamma is a square.  That equals the number of F_i iff the ranks agree.
+
     The primes are taken in chunks of 1, 4, 16, ... (so a DISTINCT verdict
     at an early prime still stops early), each computed as one int64 batch,
-    which needs n (p - 1)^2 < 2^63 (else ValueError); gfpoly's
-    distinct-degree loop and the tests then run prime by prime, in order.
+    which needs n (p - 1)^2 < 2^63 (else ValueError).
     """
     f = alpha.form
     if beta.form != f:
@@ -420,16 +427,9 @@ def same_square_class(alpha: AlgebraElement, beta: AlgebraElement, trials: int =
         chunk = list(islice(primes, min(size, trials - used)))
         used += len(chunk)
         size *= 4
-        reduced, gmods = [], []
-        for p in chunk:
-            reduced.append(gfpoly.gf_monic(gfpoly.normalize(funiv, p), p))
-            dinv = pow(D % p, -1, p)
-            gmods.append([c * dinv % p for c in gfpoly.normalize(G, p)])
-        H, T = _frobenius_powers(reduced, gmods, chunk)
-        for p, fbar, Hp, Tp in zip(chunk, reduced, H.tolist(), T.tolist()):
-            classes = gfpoly.distinct_degree_classes(fbar, (h[::-1] for h in Hp), p)
-            if any(gfpoly.gf_mod(gfpoly.normalize(Tp[d - 1][::-1], p), g, p) != [1] for d, g in classes):
-                return SquareClassVerdict.DISTINCT
+        ranks = _frobenius_ranks(funiv, G, D, chunk)
+        if (ranks[:, 0] != ranks[:, 1]).any():
+            return SquareClassVerdict.DISTINCT
     return SquareClassVerdict.EQUAL if used else SquareClassVerdict.INCONCLUSIVE
 
 
@@ -442,58 +442,69 @@ def _good_primes(bad: int):
             yield p
 
 
-def _frobenius_powers(reduced, gmods, primes):
-    """For each prime p of a chunk, with fbar = reduced[k] monic of degree n
-    and gamma = gmods[k] of degree < n (descending lists mod p), the arrays
-    H[k, d-1] = x^(p^d) for d = 1..n//2 and T[k, d-1] = gamma^((p^d - 1)/2)
-    for d = 1..n, in A_p = F_p[x]/(fbar) with ascending coefficients.
+def _frobenius_ranks(funiv, G, D, primes):
+    """For each prime p of a chunk (odd, dividing neither funiv[0] nor D),
+    with fbar = funiv / funiv[0] and gamma = G / D mod p (descending integer
+    lists, deg G < n = deg funiv), the ranks mod p of Q - I and uQ - I, as
+    row k of a (len(primes), 2) array: Q is the Frobenius matrix of
+    A_p = F_p[x]/(fbar) and u multiplication by gamma^((p - 1)/2) (see
+    same_square_class).
 
     Elements act by their multiplication matrices: C for x (the companion
     matrix) and gamma(C), whose column j is C^j gamma.  Every product is
     reduced mod p at once, so each of its entries sums at most n nonzero
-    products of residues; hence the int64 bound n (p - 1)^2 < 2^63."""
-    n = len(reduced[0]) - 1
+    products of residues; hence the int64 bound n (p - 1)^2 < 2^63.  The
+    elimination takes no inverses: each row r becomes a r - b s with s the
+    pivot row, a its pivot and b the entry of r in the pivot column, which
+    keeps the rank (a is a unit) and stays within (p - 1)^2 in size."""
+    n = len(funiv) - 1
     if n * (max(primes) - 1) ** 2 >= 1 << 63:
         raise ValueError(f"n (p - 1)^2 overflows int64 at p = {max(primes)}")
     P = len(primes)
     p = np.array(primes, dtype=np.int64)[:, None, None]
+    inv = np.array([[pow(funiv[0], -1, q), pow(D, -1, q)] for q in primes], dtype=np.int64)
     C = np.zeros((P, n, n), dtype=np.int64)
     C[:, 1:, :-1] = np.eye(n - 1, dtype=np.int64)
-    C[:, :, -1] = [[-c % q for c in fbar[:0:-1]] for q, fbar in zip(primes, reduced)]
+    C[:, :, -1] = np.array([[-c % q for c in funiv[:0:-1]] for q in primes]) * inv[:, :1] % p[:, 0]
+    gamma = np.zeros((P, n, 1), dtype=np.int64)
+    gamma[:, : len(G), 0] = np.array([[c % q for c in G[::-1]] for q in primes]) * inv[:, 1:] % p[:, 0]
     one = np.zeros((P, n, 1), dtype=np.int64)
     one[:, 0] = 1
-    gamma = np.zeros((P, n, 1), dtype=np.int64)
-    for k, g in enumerate(gmods):
-        gamma[k, : len(g), 0] = g[::-1]
 
     def krylov(M, v):  # columns v, M v, ..., M^(n-1) v, by doubling
         K = v
-        while K.shape[2] < n:
+        while True:
             K = np.concatenate([K, M @ K % p], axis=2)
+            if K.shape[2] >= n:
+                return K[:, :, :n]
             M = M @ M % p
-        return K[:, :, :n]
 
     # the matrices of x^p and u = gamma^((p - 1)/2), one square-and-multiply
-    # on the pair; bit i of (p - 1)/2 is bit i + 1 of p
+    # on the pair; bit i of (p - 1)/2 is bit i + 1 of p, so bits[:, i : i + 2]
+    # masks step i of both
+    L = max(primes).bit_length()
+    bits = (np.array(primes)[:, None] >> np.arange(L + 1) & 1).astype(bool)[..., None, None]
     base = np.stack([C, krylov(C, gamma)], axis=1)
-    acc = np.broadcast_to(np.eye(n, dtype=np.int64), base.shape)
+    acc = np.where(bits[:, :2], base, np.eye(n, dtype=np.int64))
     pp = p[..., None]
-    for i in range(max(primes).bit_length()):
-        if i:
-            base = base @ base % pp
-        bits = [[q >> i & 1, q >> i + 1 & 1] for q in primes]
-        if any(map(any, bits)):
-            acc = np.where(np.array(bits, dtype=bool)[..., None, None], acc @ base % pp, acc)
-    # the Frobenius matrix Q (column j is x^(jp)) maps x^(p^(d-1)) to
-    # x^(p^d), and u Q maps gamma^((p^(d-1) - 1)/2) to gamma^((p^d - 1)/2)
+    for i in range(1, L):
+        base = base @ base % pp
+        acc = np.where(bits[:, i : i + 2], acc @ base % pp, acc)
+    # Q (column j is x^(jp)) and uQ, less I, then their ranks by elimination:
+    # column c's pivot is a row holding its largest entry, 0 if the column is
+    # zero (the step then leaves M alone), and the pivot row becomes zero
     Q = krylov(acc[:, 0], one)
-    step = np.zeros((P, 2 * n, 2 * n), dtype=np.int64)
-    step[:, :n, :n] = Q
-    step[:, n:, n:] = acc[:, 1] @ Q % p
-    y = np.concatenate([C[:, :, :1], one], axis=1)  # (x, 1), the pair at d = 0
-    out = np.empty((P, n, 2 * n), dtype=np.int64)
-    for d in range(n):
-        y = step @ y % p
-        out[:, d] = y[..., 0]
-    return out[:, : n // 2, :n], out[:, :, n:]
-
+    M = np.stack([Q, acc[:, 1] @ Q], axis=1).reshape(2 * P, n, n)
+    M[:, range(n), range(n)] -= 1
+    p, rows = p.repeat(2, axis=0), np.arange(2 * P)
+    M %= p
+    pivots = np.empty((n, 2 * P), dtype=np.int64)
+    for c in range(n):
+        col = M[:, :, c, None]
+        prow = M[rows, col.argmax(axis=1)[:, 0], None]
+        pivots[c] = prow[:, 0, c]
+        b = col * prow
+        M *= np.maximum(prow[:, :, c, None], 1)
+        M -= b
+        M %= p
+    return np.count_nonzero(pivots, axis=0).reshape(P, 2)

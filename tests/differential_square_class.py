@@ -1,6 +1,7 @@
 """Differential check of `rings.same_square_class` (one batched Frobenius
-matrix per prime, primes in chunks) against the serial oracle
-`serial_square_class` kept in `tests/conftest.py`.
+rank test per prime, primes in chunks) against the serial oracle
+`serial_square_class` kept in `tests/conftest.py`, which runs gfpoly's
+distinct-degree factorization and one power test per class.
 
     PYTHONPATH=src python tests/differential_square_class.py [--cases 200]
         [--degrees 2,4,6,8,10] [--trials 50] [--seed 0]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from pencilorbits import search
 from pencilorbits.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, MAX_GENUS, MAX_JOBS, MAX_PRIMES, run
 from pencilorbits.densities import genus0_product
+from pencilorbits.numutil import det
 from pencilorbits.search import DescentBudgetError
 
 
@@ -174,6 +176,25 @@ def test_orbit_output_feeds_verify():
     assert code == EXIT_OK
     assert json.loads(out2)["payload"]["matches_form"] is True
 
+
+
+def test_orbit_n40_away_from_the_origin_is_fast():
+    # f_i = (i mod 3) - 1 for i = 1..40 and f0 chosen so that f(1, 2) = 49:
+    # the pulled-back pair is dense with 60-bit entries, and one
+    # invariant_form of it takes seconds; the template pair is checked instead
+    tail = [i % 3 - 1 for i in range(1, 41)]
+    coeffs = [49 - sum(c << i for i, c in enumerate(tail, 1))] + tail
+    form = ",".join(map(str, coeffs))
+    t0 = time.perf_counter()
+    code, out, _ = _run(["orbit", "--n", "40", "--form", form, "--point", "1,2,7"])
+    assert time.perf_counter() - t0 < 2.5
+    assert code == EXIT_OK
+    payload = json.loads(out)["payload"]
+    assert payload["invariant_form"] == [str(c) for c in coeffs] and payload["det_identity_holds"] is True
+    # det(A x - B y) = f(x, y) (n/2 even) at (1, 0) and at the point's (1, 2)
+    A, B = payload["A"], payload["B"]
+    assert det(A) == coeffs[0]
+    assert det([[a - 2 * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]) == 49
 
 # Each argv runs in a fresh interpreter under a timeout, so a hang fails the
 # test instead of stalling the suite.  The --jobs cases use inputs that make

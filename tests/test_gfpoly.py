@@ -105,27 +105,17 @@ def test_gf_powmod_matches_repeated_multiplication(monkeypatch):
             assert len(calls) == max(e.bit_length() - 1, 0) + bin(e).count("1")
 
 
-def test_distinct_degree_classes_takes_powers_lazily(monkeypatch):
+def test_distinct_degree_factorization_takes_powers_lazily(monkeypatch):
     # a power x^(p^d) is taken only while a class of degree d can remain: at
     # n = 2 one power decides, and x^2 + 1 is irreducible mod 7
-    taken = []
-
-    def powers(f, p):
-        h = [1, 0]
-        for d in itertools.count(1):
-            taken.append(d)
-            h = gfpoly.gf_powmod(h, p, f, p)
-            yield h
-
-    assert list(gfpoly.distinct_degree_classes([1, 0, 1], powers([1, 0, 1], 7), 7)) == [(2, [1, 0, 1])]
-    assert taken == [1]
-    # (x^2 + 1)(x - 1)(x - 2)(x - 3) mod 7: the linear class at d = 1 leaves
-    # degree 2 < 4, so no second power
-    f = [1, 1, 5, 2, 4, 1]
-    assert [d for d, _ in gfpoly.distinct_degree_classes(f, powers(f, 7), 7)] == [1, 2]
-    assert taken == [1, 1]
     calls = []
     powmod = gfpoly.gf_powmod
     monkeypatch.setattr(gfpoly, "gf_powmod", lambda *a: calls.append(1) or powmod(*a))
     assert gfpoly.distinct_degree_factorization([1, 0, 1], 7) == [(2, [1, 0, 1])]
+    assert len(calls) == 1
+    # (x^2 + 1)(x - 1)(x - 2)(x - 3) mod 7: the linear class at d = 1 leaves
+    # degree 2 < 4, so no second power
+    calls.clear()
+    f = [1, 1, 5, 2, 4, 1]
+    assert gfpoly.distinct_degree_factorization(f, 7) == [(1, [1, 1, 4, 1]), (2, [1, 0, 1])]
     assert len(calls) == 1

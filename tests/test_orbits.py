@@ -352,6 +352,11 @@ def test_symmetric_pair_entries_are_integers():
     for bad in (True, False, np.bool_(True)):
         with pytest.raises(ValueError, match="integers"):
             SymmetricPair(((1,),), ((bad,),))
+    # a tuple of tuples of ints is kept as it is, but a bool among ints is not an int
+    A = ((0, 1), (1, 0))
+    assert SymmetricPair(A, A).A is A
+    with pytest.raises(ValueError, match="integers"):
+        SymmetricPair(A, ((0, True), (True, 0)))
 
 
 def test_symmetric_pair_shape_checks():

@@ -359,13 +359,13 @@ def test_same_square_class_matches_per_factor_reference():
 
 def _record_chunks(monkeypatch):
     chunks = []
-    kernel = rings._frobenius_powers
+    kernel = rings._frobenius_ranks
 
-    def recording(reduced, gmods, primes):
+    def recording(funiv, G, D, primes):
         chunks.append(list(primes))
-        return kernel(reduced, gmods, primes)
+        return kernel(funiv, G, D, primes)
 
-    monkeypatch.setattr(rings, "_frobenius_powers", recording)
+    monkeypatch.setattr(rings, "_frobenius_ranks", recording)
     return chunks
 
 
@@ -408,19 +408,51 @@ def test_good_primes_give_squarefree_reductions():
                 assert gfpoly.gf_gcd(fbar, gfpoly.gf_derivative(fbar, p), p) == [1], (f.coeffs, p)
 
 
-def test_frobenius_powers_int64_bound():
-    # n (p - 1)^2 < 2^63 holds at p = 2^31 - 1 for n = 2, and the powers
-    # agree with gf_powmod there; the next prime, 2^31 + 11, is refused
+def _serial_squares(fbar, gamma, p):
+    """Whether gamma is a square in every residue field of F_p[x]/(fbar):
+    one gf_powmod test per distinct-degree class, as serial_square_class."""
+    classes = gfpoly.distinct_degree_factorization(fbar, p)
+    return all(gfpoly.gf_powmod(gamma, (p**d - 1) // 2, g, p) == [1] for d, g in classes)
+
+
+def test_frobenius_ranks_int64_bound():
+    # n (p - 1)^2 < 2^63 holds at p = 2^31 - 1 for n = 2, and the ranks give
+    # the serial verdict there; f(x, 1) = 3 fbar and G / D = 5 gamma / 5
+    # exercise both scalings.  The next prime, 2^31 + 11, is refused
     p = (1 << 31) - 1
-    fbar, gamma = [1, 5, 3], [7, 2]
-    H, T = rings._frobenius_powers([fbar], [gamma], [p])
-    assert H[0, 0].tolist()[::-1] == gfpoly.gf_powmod([1, 0], p, fbar, p)
-    for d in (1, 2):
-        want = gfpoly.gf_powmod(gamma, (p**d - 1) // 2, fbar, p)
-        assert gfpoly.normalize(T[0, d - 1].tolist()[::-1], p) == want
+    seen = set()
+    for fbar in ([1, 5, 3], [1, p - 3, 2], [1, 0, 1]):
+        nfactors = sum((len(g) - 1) // d for d, g in gfpoly.distinct_degree_factorization(fbar, p))
+        for gamma in ([7, 2], [1, 2], [1, 3], [p - 1], [3]):
+            ranks = rings._frobenius_ranks([3 * c for c in fbar], [5 * c for c in gamma], 5, [p])
+            assert ranks[0, 0] == 2 - nfactors
+            squares = _serial_squares(fbar, gamma, p)
+            assert (ranks[0, 1] == ranks[0, 0]) == squares, (fbar, gamma)
+            seen.add(squares)
+    assert seen == {True, False}
     assert is_prime((1 << 31) + 11)
     with pytest.raises(ValueError):
-        rings._frobenius_powers([fbar], [gamma], [(1 << 31) + 11])
+        rings._frobenius_ranks([1, 5, 3], [7, 2], 1, [(1 << 31) + 11])
+
+
+def test_frobenius_ranks_with_a_degree_p_component():
+    # mod 3, fbar = (x^3 - x - 1)(x - 1) has the residue field F_27, of
+    # degree p, on which Frobenius is not semisimple (its minimal polynomial
+    # is x^3 - 1 = (x - 1)^3); for every unit gamma the rank test still
+    # gives the per-factor verdict, and every pattern of verdicts occurs
+    factors = [[1, 0, 2, 2], [1, 2]]
+    fbar = gfpoly.gf_mul(*factors, 3)
+    seen = set()
+    for coeffs in itertools.product(range(3), repeat=4):
+        gamma = gfpoly.normalize(list(coeffs), 3)
+        if any(gfpoly.gf_gcd(gamma, h, 3) != [1] for h in factors):
+            continue
+        squares = tuple(gfpoly.gf_powmod(gamma, (3 ** (len(h) - 1) - 1) // 2, h, 3) == [1] for h in factors)
+        ranks = rings._frobenius_ranks(fbar, gamma, 1, [3])
+        assert ranks[0, 0] == 2
+        assert (ranks[0, 1] == ranks[0, 0]) == all(squares) == _serial_squares(fbar, gamma, 3), gamma
+        seen.add(squares)
+    assert seen == set(itertools.product((True, False), repeat=2))
 
 
 def test_differential_square_class_smoke(capsys):
