@@ -179,12 +179,27 @@ def factor_count_distribution(n: int, p: int) -> tuple[int, ...]:
     aperiodic necklaces of length d on q letters; A_d(1) = 0 for d >= 2),
     where each factor is the polynomial these terms expand, so the count at
     q = 1..n + 2 gives n + 2 values of a polynomial of degree <= n + 1."""
-    binom = [math.comb(p - 1, k) for k in range(n + 2)]
+    binom = _newton_basis(p, n + 2)
     return tuple(_dot(diffs, binom) for diffs in _forward_differences(n))
 
 
 def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
+
+
+def _newton_basis(q: int, length: int) -> list[int]:
+    """C(q - 1, k) for k = 0 .. length - 1 at least: the Newton basis at q
+    that the forward differences multiply, one row per q shared by every
+    degree and extended in place.  `_dot` zips, so a longer row is harmless."""
+    row = _newton_rows(q)
+    row.extend(math.comb(q - 1, k) for k in range(len(row), length))
+    return row
+
+
+@lru_cache(maxsize=4096)
+def _newton_rows(q: int) -> list[int]:
+    """The row of `_newton_basis` at q as far as it has been asked for."""
+    return []
 
 
 @lru_cache(maxsize=64)
@@ -339,7 +354,7 @@ def _capped_sum(n: int, q: int, cap: int) -> Fraction:
     weighted sum of the counts is two dot products of the Newton
     coefficients C(q-1, k) with the threshold sums of `_weighted_differences`."""
     full, capped = _weighted_differences(n)[min(n, cap.bit_length())]
-    binom = [math.comb(q - 1, k) for k in range(n + 2)]
+    binom = _newton_basis(q, n + 2)
     acc = 2 ** (n - 1) * _dot(full, binom) + cap * _dot(capped, binom)
     return Fraction(acc, 2 ** (n - 1) * q ** (n + 1))
 

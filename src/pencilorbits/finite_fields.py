@@ -6,20 +6,28 @@ n = 2, p <= 7: a symmetric matrix [[m0, m1], [m1, m2]] is coded as
 m0*p^2 + m1*p + m2 and a pair (A, B) as A*p^3 + B.  The census buckets all
 p^6 pair codes by invariant form in one numpy pass, a counting sort on the
 form code.  An orbit is the image of its smallest pair under every element
-of SL_2^+-(F_p) at once, one product with the congruence matrices of g on
-(m0, m1, m2), and the stabilizer is counted among those images, not derived
-from the orbit size.
+of SL_2^+-(F_p) at once, one 2-D product of the stacked congruence matrices
+of g on (m0, m1, m2) with the coordinates of A and B, and the stabilizer is
+counted among those images, not derived from the orbit size.
 
 n = 4, p = 2: over F_2 each entry of Ax - By is the linear form with
-coefficient planes (entry of A, entry of B), and the census multiplies these
+coefficient planes (entry of A, entry of B), and `_det4` multiplies these
 forms plane by plane (AND for products, XOR for sums) into the five
-coefficient planes of det(Ax - By) for all 2^20 pairs, bitsliced (Biham, FSE
-1997): each entry plane of the 2^10 matrices B is packed 64 to a uint64 word,
-each entry of a row of A is an all-zeros or all-ones word, and one bitwise op
-covers 64 pairs.  A numpy pass takes 256 rows of A against all of B, splits
-the block on each plane in turn into 32 leaves, one per form mod 2, and
-counts each leaf by popcount.  In characteristic 2 the determinant is the
-permanent, so a Laplace expansion along rows 0, 1 needs no signs.
+coefficient planes of det(Ax - By); in characteristic 2 the determinant is
+the permanent, so a Laplace expansion along rows 0, 1 needs no signs.  The
+census runs one A from each GL_4(F_2)-congruence class against all 2^10
+matrices B and weights each 32-bin form histogram by the class size.  Proof
+that the histogram depends only on the class of A: det g = 1 for g in
+GL_4(F_2), so B -> g B g^T permutes the symmetric matrices and
+det(gAg^T x - gBg^T y) = det(Ax - By).  Over F_2, v -> v A v^T is linear and
+vanishes on the radical {v : vA = 0}, so A is congruent to a nondegenerate
+form of rank r padded with zeros, alternating (zero diagonal) exactly when A
+is, and nondegenerate symmetric forms in characteristic 2 are congruent to
+I_r, or to the hyperbolic form when alternating (Albert, "Symmetric and
+alternate matrices in an arbitrary field", Trans. AMS 43, 1938).  So rank
+and alternation fix the class: #{v : vA = 0} = 2^(4 - r) and the zero
+diagonal split the 2^10 matrices into seven classes of sizes 1, 15, 35, 105,
+420, 28 and 420.
 """
 
 import itertools
@@ -70,13 +78,14 @@ def sl_n_order(n: int, p: int) -> int:
 
 @lru_cache(maxsize=8)
 def _group_sl2pm(p: int) -> np.ndarray:
-    """All of SL_2^+-(F_p) (determinant +-1) as congruence matrices S_g of
-    shape (|G|, 3, 3): S_g (m0, m1, m2) = g M g^T mod p in the coordinates of
+    """All of SL_2^+-(F_p) (determinant +-1) as congruence matrices S_g
+    stacked into shape (3|G|, 3): rows 3g..3g+2 are S_g, and
+    S_g (m0, m1, m2) = g M g^T mod p in the coordinates of
     M = [[m0, m1], [m1, m2]]."""
     a, b, c, d = np.indices((p,) * 4).reshape(4, -1)
     a, b, c, d = (x[np.isin((a * d - b * c) % p, (1, p - 1))] for x in (a, b, c, d))
     S = np.stack([a * a, 2 * a * b, b * b, a * c, a * d + b * c, b * d, c * c, 2 * c * d, d * d], axis=1)
-    return (S % p).reshape(-1, 3, 3)
+    return (S % p).reshape(-1, 3)
 
 
 def count_pairs_with_form(f: BinaryForm, p: int) -> OrbitStats:
@@ -123,13 +132,17 @@ def _count_n2(f: BinaryForm, p: int) -> OrbitStats:
     target = tuple(c % p for c in f.coeffs)
     members = pair_census_n2(p).get(target, np.zeros(0, np.int32))
     S = _group_sl2pm(p)
-    weights = p ** np.arange(5, -1, -1)  # of the base-p digits A0 A1 A2 B0 B1 B2 of a pair code
+    # the place values of a pair code's base-p digits in the order A0 B0 A1 B1 A2 B2:
+    # start // weights % p, shaped (3, 2), is the matrix whose columns are A and B
+    weights = p ** np.array([5, 2, 4, 1, 3, 0])
+    # entries of the product are sums of three products of residues: reduce them by lookup
+    residue = np.arange(3 * (p - 1) ** 2 + 1) % p
     alive = np.ones(len(members), bool)
     stab_sizes = []
     while alive.any():
         start = int(members[alive.argmax()])  # smallest pair not yet in an orbit
-        AB = (start // weights % p).reshape(2, 3)
-        orbit = (AB @ np.swapaxes(S, 1, 2) % p).reshape(len(S), 6) @ weights  # (g A g^T, g B g^T) for every g
+        # row g of the product holds the digits of (g A g^T, g B g^T) in the same order
+        orbit = residue[S @ (start // weights % p).reshape(3, 2)].reshape(-1, 6) @ weights
         stab_sizes.append(int(np.count_nonzero(orbit == start)))
         alive[np.searchsorted(members, orbit)] = False
     sq = square_value_count(f, p) if p != 2 else None
@@ -144,8 +157,6 @@ def _count_n2(f: BinaryForm, p: int) -> OrbitStats:
 
 
 # -- n = 4, p = 2: coefficient planes of det(Ax - By) over F_2 ---------------
-
-_QUARTIC_BLOCK = 256  # rows of A per numpy pass: 256 x 2^10 = 2^18 pairs, 64 per word
 
 
 def _form_mul(u, v):
@@ -175,32 +186,27 @@ def _det4(M):
     return d
 
 
-def _leaf_counts(leaf, planes) -> list[int]:
-    """Pairs of the packed leaf in each of the 2^len(planes) classes of their
-    bits in planes, the first plane the most significant."""
-    if not planes:
-        return [np.count_nonzero(np.unpackbits(leaf.view(np.uint8)))]
-    hi = leaf & planes[0]
-    return _leaf_counts(leaf ^ hi, planes[1:]) + _leaf_counts(hi, planes[1:])
-
-
 @lru_cache(maxsize=1)
 def _quartic_pair_table() -> np.ndarray:
     """counts[key] over all 2^20 pairs, keyed by the coefficient bits of
-    det(Ax - By) mod 2, x^4 first.  Read-only: the array is shared through
-    the cache."""
+    det(Ax - By) mod 2, x^4 first: over the congruence classes of A, the class
+    size times the form histogram of one member against all 2^10 matrices B.
+    Read-only: the array is shared through the cache."""
     idx = np.arange(1 << 10)
-    E = [[None] * 4 for _ in range(4)]  # entries of all 2^10 symmetric matrices
+    E = [[None] * 4 for _ in range(4)]  # 0/1 entries of all 2^10 symmetric matrices
     for k, (i, j) in enumerate(itertools.combinations_with_replacement(range(4), 2)):
         E[i][j] = E[j][i] = ((idx >> k) & 1).astype(np.uint8)
-    # B side: bit b of word w is matrix 64w + b; A side: one all-0/all-1 word per row
-    B = [[np.packbits(e, bitorder="little").view(np.uint64)[None, :] for e in row] for row in E]
-    masks = [[(-e.astype(np.int64)).view(np.uint64)[:, None] for e in row] for row in E]
-    counts = np.zeros(1 << 5, np.int64)
-    for a0 in range(0, 1 << 10, _QUARTIC_BLOCK):
-        planes = _det4([[[x[a0 : a0 + _QUARTIC_BLOCK], y] for x, y in zip(ra, rb)] for ra, rb in zip(masks, B)])
-        # planes[1], the x^3 y coefficient, mixes A and B: it has the block's full shape
-        counts += _leaf_counts(np.full(planes[1].shape, ~np.uint64(0)), planes)
+    images = [np.zeros(1 << 10, np.uint8)]  # vA for the 16 vectors v, coded in 4 bits
+    for row in E:
+        r = sum(e << j for j, e in enumerate(row))
+        images += [w ^ r for w in images]
+    kernel = np.count_nonzero(np.equal(images, 0), axis=0)  # 2^(4 - rank A)
+    not_alternating = E[0][0] | E[1][1] | E[2][2] | E[3][3]
+    # one label per (rank, alternating) class; reps holds the first member of each
+    _, reps, sizes = np.unique(not_alternating - 2 * kernel, return_index=True, return_counts=True)
+    planes = _det4([[[e[reps, None], e[None, :]] for e in row] for row in E])  # the pairs (rep, B)
+    key = sum(plane << (4 - i) for i, plane in enumerate(planes))
+    counts = sizes @ np.array([np.bincount(k, minlength=1 << 5) for k in key])
     counts.flags.writeable = False
     return counts
 

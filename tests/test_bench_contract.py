@@ -31,9 +31,9 @@ def test_census_caches_are_cleared_between_rounds():
 
 
 def test_density_caches_are_cleared_between_rounds():
-    # the density workload times the series rows, the Newton tables and the
-    # per-prime counts cold only if find_caches sees them as densities' own
-    # lru_caches
+    # the density workload times the series rows, the Newton tables, the
+    # binomial rows and the per-prime counts cold only if find_caches sees
+    # them as densities' own lru_caches
     from pencilorbits import densities
 
     cached = (
@@ -41,6 +41,7 @@ def test_density_caches_are_cleared_between_rounds():
         densities._weighted_differences,
         densities.factor_count_distribution,
         densities._squarefree_series,
+        densities._newton_rows,
     )
     for fn in cached:
         assert callable(getattr(fn, "cache_clear", None)), fn

@@ -6,7 +6,6 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from pencilorbits import finite_fields
 from pencilorbits.forms import BinaryForm, is_separable_mod_p
 from pencilorbits.orbits import SymmetricPair, invariant_form
 from pencilorbits.finite_fields import (
@@ -81,15 +80,56 @@ def test_quartic_table_is_read_only():
         table[0] += 1
 
 
-@pytest.mark.parametrize("block", (64, 1024))
-def test_quartic_table_independent_of_block(monkeypatch, block):
-    default = _quartic_pair_table()
-    _quartic_pair_table.cache_clear()
-    monkeypatch.setattr(finite_fields, "_QUARTIC_BLOCK", block)
-    try:
-        assert _quartic_pair_table().tolist() == default.tolist()
-    finally:
-        _quartic_pair_table.cache_clear()
+def _rank_f2(M) -> int:
+    """Rank over F_2 by elimination on the rows as bitmasks."""
+    basis = []
+    for r in (int("".join(map(str, row)), 2) for row in M.tolist()):
+        for b in basis:
+            r = min(r, r ^ b)
+        if r:
+            basis = sorted(basis + [r], reverse=True)
+    return len(basis)
+
+
+def _form_histogram(A, Ms) -> np.ndarray:
+    """The 32-bin histogram of det(Ax - By) mod 2 over the matrices B in Ms,
+    keyed like the census, by the 24-permutation sum of products of the
+    linear forms A_ij x + B_ij y."""
+    d = np.zeros((5, len(Ms)), np.uint8)  # coefficient planes, x^4 first
+    for perm in itertools.permutations(range(4)):
+        t = np.zeros_like(d)
+        t[0] = 1
+        for i, j in enumerate(perm):
+            t[1:] = (A[i, j] & t[1:]) ^ (Ms[:, i, j] & t[:-1])
+            t[0] &= A[i, j]
+        d ^= t
+    return np.bincount(sum(plane.astype(np.int64) << (4 - k) for k, plane in enumerate(d)), minlength=32)
+
+
+def test_quartic_census_classes():
+    # the census weights one representative per congruence class of A by the
+    # class size: the classes by (rank, alternating) must have the listed
+    # sizes, and every member of a class the histogram of its representative
+    idx = np.arange(1 << 10)
+    Ms = np.zeros((1 << 10, 4, 4), np.uint8)
+    for k, (i, j) in enumerate(itertools.combinations_with_replacement(range(4), 2)):
+        Ms[:, i, j] = Ms[:, j, i] = (idx >> k) & 1
+    classes = {}
+    for code, M in enumerate(Ms):
+        classes.setdefault((_rank_f2(M), not M.diagonal().any()), []).append(code)
+    sizes = {cls: len(codes) for cls, codes in classes.items()}
+    assert sizes == {
+        (0, True): 1, (1, False): 15, (2, True): 35, (2, False): 105, (3, False): 420, (4, True): 28, (4, False): 420
+    }
+    assert sum(sizes.values()) == 1 << 10
+    rng = random.Random(2025)
+    table = np.zeros(32, np.int64)
+    for cls, codes in sorted(classes.items()):
+        want = _form_histogram(Ms[codes[0]], Ms)
+        for code in rng.sample(codes[1:], min(3, len(codes) - 1)):
+            assert _form_histogram(Ms[code], Ms).tolist() == want.tolist(), (cls, code)
+        table += len(codes) * want
+    assert table.tolist() == _quartic_pair_table().tolist()
 
 
 def test_census_total():
@@ -375,12 +415,12 @@ def test_quartic_key_is_the_census_key_of_the_invariant_form():
 
 
 def test_quartic_census_peak_allocation():
-    # a 256-row block's coefficient planes and leaves are 32 KB each, and the
-    # depth-first split holds one leaf per level: the cold build stays small
+    # the census holds only 7 x 2^10 pairs, one row per congruence class of
+    # A, as uint8 coefficient planes of 7 KB each: the cold build stays small
     tracemalloc.start()
     try:
         _quartic_pair_table.__wrapped__()  # a cold build, bypassing the cache
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 << 20, peak
+    assert peak <= 512 << 10, peak
