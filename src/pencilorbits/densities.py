@@ -11,7 +11,7 @@ binary forms by factorization type.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -315,20 +315,7 @@ class DensityReport:
     bound_conservative: float
 
     def to_jsonable(self) -> dict:
-        return {
-            "genus": self.genus,
-            "degree": self.degree,
-            "truncation_prime": self.truncation_prime,
-            "samples": self.samples,
-            "seed": self.seed,
-            "dyadic_bits": self.dyadic_bits,
-            "archimedean_factor": self.archimedean_factor,
-            "archimedean_stderr": self.archimedean_stderr,
-            "two_adic_factor": self.two_adic_factor,
-            "finite_factors": {str(p): v for p, v in sorted(self.finite_factors.items())},
-            "bound": self.bound,
-            "bound_conservative": self.bound_conservative,
-        }
+        return {**asdict(self), "finite_factors": {str(p): v for p, v in sorted(self.finite_factors.items())}}
 
 
 def two_adic_factor(n: int) -> Fraction:

@@ -4,7 +4,6 @@ statistics, and seeded random sampling."""
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 
 from . import gfpoly, intpoly
 
@@ -125,24 +124,14 @@ def discriminant(f: BinaryForm) -> int:
 
 
 def sl2_act(g: UnimodularMatrix2, f: BinaryForm) -> BinaryForm:
-    """f'(x, y) = f((x, y) * g) = f(a*x + c*y, b*x + d*y)."""
-    n = f.degree
-    out = [0] * (n + 1)
-    # expand sum_i f_i (ax+cy)^(n-i) (bx+dy)^i
-    for i, fi in enumerate(f.coeffs):
-        if fi == 0:
-            continue
-        first = _binom_pow(g.a, g.c, n - i)
-        second = _binom_pow(g.b, g.d, i)
-        for j1, c1 in enumerate(first):
-            for j2, c2 in enumerate(second):
-                out[j1 + j2] += fi * c1 * c2
-    return BinaryForm(tuple(out))
-
-
-def _binom_pow(u: int, v: int, k: int) -> list[int]:
-    """Coefficients of (u*x + v*y)^k by ascending power of y."""
-    return [comb(k, j) * u ** (k - j) * v**j for j in range(k + 1)]
+    """f'(x, y) = f((x, y) * g) = f(a*x + c*y, b*x + d*y), by homogeneous
+    Horner: F_0 = f_0 and F_i = F_(i-1) * (a*x + c*y) + f_i * (b*x + d*y)^i,
+    each form as coefficients by ascending power of y."""
+    F, P = [f.coeffs[0]], [1]
+    for fi in f.coeffs[1:]:
+        P = [g.b * p + g.d * q for p, q in zip(P + [0], [0] + P)]
+        F = [g.a * s + g.c * t + fi * w for s, t, w in zip(F + [0], [0] + F, P)]
+    return BinaryForm(tuple(F))
 
 
 def real_root_count(f: BinaryForm) -> int:

@@ -11,13 +11,11 @@ by the caller) remains for finding the roots of a polynomial in F_p.
 
 import random
 
+from . import intpoly
+
 
 def normalize(p: list[int], mod: int) -> list[int]:
-    q = [c % mod for c in p]
-    i = 0
-    while i < len(q) and q[i] == 0:
-        i += 1
-    return q[i:]
+    return intpoly.strip([c % mod for c in p])
 
 
 def gf_eval(a, x, mod):
@@ -29,14 +27,7 @@ def gf_eval(a, x, mod):
 
 
 def gf_mul(a, b, mod):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % mod
-    return normalize(out, mod)
+    return normalize(intpoly.mul(a, b), mod)
 
 
 def gf_divmod(a, b, mod):
@@ -96,8 +87,7 @@ def gf_monic(a, mod):
 
 
 def gf_derivative(a, mod):
-    n = len(a) - 1
-    return normalize([(n - i) * a[i] for i in range(n)], mod)
+    return normalize(intpoly.derivative(a), mod)
 
 
 def squarefree_decomposition(f, mod):

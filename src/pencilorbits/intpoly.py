@@ -18,15 +18,10 @@ def strip(p: list) -> list:
 
 
 def evaluate_binary(coeffs: list, x, y):
-    """Homogeneous evaluation: sum coeffs[i] * x^(n-i) * y^i."""
-    n = len(coeffs) - 1
-    xp = [1]
-    for _ in range(n):
-        xp.append(xp[-1] * x)
-    acc = 0
-    ypow = 1
-    for i in range(n + 1):
-        acc += coeffs[i] * xp[n - i] * ypow
+    """Homogeneous evaluation: sum coeffs[i] * x^(n-i) * y^i, by Horner."""
+    acc, ypow = 0, 1
+    for c in coeffs:
+        acc = acc * x + c * ypow
         ypow *= y
     return acc
 
@@ -81,8 +76,8 @@ def primitive(p: list) -> list:
     return [c // g for c in p]
 
 
-def _prem(a: list, b: list) -> list:
-    """prem(a, b) = lc(b)^(deg a - deg b + 1) * a  mod  b, exact integers."""
+def prem(a: list, b: list) -> list:
+    """prem(a, b) = lc(b)^max(0, deg a - deg b + 1) * a  mod  b, exact integers."""
     da, db = len(a) - 1, len(b) - 1
     lb = b[0]
     m = da - db + 1
@@ -109,7 +104,7 @@ def _subresultant_prs(a: list, b: list):
     while len(b) > 1:
         delta = len(a) - len(b)
         div = g * h**delta
-        r = [c // div for c in _prem(a, b)]
+        r = [c // div for c in prem(a, b)]
         a, b = b, r
         g = a[0]
         h = _h_update(g, h, delta)
@@ -174,7 +169,7 @@ def _sylvester(p: list, q: list) -> tuple[int, int]:
     b = strip(mul(derivative(p), q))
     if len(b) >= len(p):
         k = len(b) - len(p) + 1
-        b = _prem(b, p)
+        b = prem(b, p)
         if p[0] < 0 and k % 2:
             b = neg(b)
     # signs at +inf and degrees of the classical sequence

@@ -8,6 +8,11 @@ the two are related by an integer triangular transition with diagonal
 (1, f0, ..., f0), so conversions are exact.  Based ideals store an ordered
 basis; their norm is the (positive, by convention) determinant of the
 transition to the R_f basis.
+
+Products.  With u = G(theta)/D for an integer polynomial G, a product of
+u and H(theta)/E is the pseudo-remainder of GH by f(x, 1) over D*E*f0^k
+(Cohen, GTM 138, 3.1.1), so K_f shares intpoly's kernel with resultants and
+Tarski queries.  theta^j for j < n is a unit vector of the power basis.
 """
 
 import enum
@@ -70,7 +75,7 @@ class AlgebraElement:
     def numerator_poly(self) -> tuple[list[int], int]:
         """(integer polynomial G descending, positive D) with self = G(theta)/D."""
         den = lcm(*[c.denominator for c in self.coords]) if self.coords else 1
-        poly = [int(c * den) for c in reversed(self.coords)]
+        poly = [c.numerator * (den // c.denominator) for c in reversed(self.coords)]
         return intpoly.strip(poly), den
 
     def inverse(self) -> "AlgebraElement":
@@ -103,45 +108,23 @@ def linear_element(f: BinaryForm, a, b) -> AlgebraElement:
     return AlgebraElement(f, tuple(coords))
 
 
-@lru_cache(maxsize=256)
-def _theta_power_table(coeffs: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Power-basis coordinates of theta^k for k = 0 .. 2n-2."""
-    n = len(coeffs) - 1
-    f0 = coeffs[0]
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(0)] * n
-    cur[0] = Fraction(1)
-    rows.append(tuple(cur))
-    for _ in range(2 * n - 2):
-        # multiply by theta: shift, then reduce theta^n = -(f1 theta^(n-1)+...+fn)/f0
-        top = cur[n - 1]
-        cur = [Fraction(0)] + cur[: n - 1]
-        if top:
-            for j in range(n):
-                cur[j] -= top * Fraction(coeffs[n - j], f0)
-        rows.append(tuple(cur))
-    return tuple(rows)
+def _theta_power(f: BinaryForm, j: int) -> AlgebraElement:
+    """theta^j for 0 <= j < n: a unit vector of the power basis."""
+    return AlgebraElement(f, tuple(int(i == j) for i in range(f.degree)))
 
 
 def algebra_mul(u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
+    """For u = G(theta)/D and v = H(theta)/E, uv = prem(GH, f(x,1))(theta) /
+    (D E f0^k) with k = max(0, deg GH - n + 1), the power of f0 by which the
+    pseudo-remainder scales GH."""
     if u.form != v.form:
         raise ValueError("elements belong to different algebras")
-    n = u.form.degree
-    table = _theta_power_table(u.form.coeffs)
-    conv = [Fraction(0)] * (2 * n - 1)
-    for i, a in enumerate(u.coords):
-        if a:
-            for j, b in enumerate(v.coords):
-                if b:
-                    conv[i + j] += a * b
-    out = [Fraction(0)] * n
-    for k, c in enumerate(conv):
-        if c:
-            row = table[k]
-            for j in range(n):
-                if row[j]:
-                    out[j] += c * row[j]
-    return AlgebraElement(u.form, tuple(out))
+    f = u.form
+    (G, D), (H, E) = u.numerator_poly(), v.numerator_poly()
+    GH = intpoly.mul(G, H)
+    den = D * E * f.coeffs[0] ** max(0, len(GH) - f.degree)
+    r = intpoly.prem(GH, f.univariate())
+    return AlgebraElement(f, tuple(Fraction(c, den) for c in reversed(r)) + (0,) * (f.degree - len(r)))
 
 
 def algebra_norm(u: AlgebraElement) -> Fraction:
@@ -161,8 +144,7 @@ def algebra_inverse(u: AlgebraElement) -> AlgebraElement:
     f = u.form
     if u.is_zero():
         raise ZeroDivisionError("zero element")
-    powers = _theta_power_table(f.coeffs)[: f.degree]
-    cols = [algebra_mul(u, AlgebraElement(f, t)).coords for t in powers]
+    cols = [algebra_mul(u, _theta_power(f, j)).coords for j in range(f.degree)]
     try:
         x = solve(list(zip(*cols)), element_one(f).coords)
     except ValueError:
@@ -301,9 +283,7 @@ def ideal_power_basis(f: BinaryForm, k: int) -> BasedIdeal:
     n = f.degree
     if not 0 <= k <= n - 1:
         raise ValueError("k out of range")
-    # element_one checks f0 before the table divides by it
-    basis = [element_one(f)]
-    basis += (AlgebraElement(f, t) for t in _theta_power_table(f.coeffs)[1 : k + 1])
+    basis = [_theta_power(f, j) for j in range(k + 1)]
     basis += (zeta_element(f, j) for j in range(k + 1, n))
     return BasedIdeal(f, tuple(basis))
 

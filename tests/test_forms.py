@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from pencilorbits import intpoly
 from pencilorbits.forms import (
     BinaryForm,
     UnimodularMatrix2,
@@ -59,13 +60,27 @@ def test_sl2_act_convention_and_invariance(rng):
     shear = UnimodularMatrix2(1, 0, 1, 1)  # f(x + y, y)
     assert sl2_act(shear, BinaryForm((1, 0, 0))).coeffs == (1, 2, 1)
     assert sl2_act(UnimodularMatrix2(1, 0, 0, 1), BinaryForm((5, 1, 2))).coeffs == (5, 1, 2)
-    for n in (2, 4, 6, 8):
+
+    def power(linear, k):
+        out = [1]
+        for _ in range(k):
+            out = intpoly.mul(out, linear)
+        return out
+
+    for n in (2, 4, 6, 8, 10, 20, 40):
         for _ in range(10):
             f = BinaryForm(tuple(rng.randint(-9, 9) for _ in range(n + 1)))
             g = random_sl2(rng)
-            assert discriminant(sl2_act(g, f)) == discriminant(f)
+            moved = sl2_act(g, f)
+            assert discriminant(moved) == discriminant(f)
             x, y = rng.randint(-5, 5), rng.randint(-5, 5)
-            assert evaluate(sl2_act(g, f), x, y) == evaluate(f, x * g.a + y * g.c, x * g.b + y * g.d)
+            assert evaluate(moved, x, y) == evaluate(f, x * g.a + y * g.c, x * g.b + y * g.d)
+            # sum_i f_i (a x + c y)^(n-i) (b x + d y)^i, expanded by repeated products
+            want = [0] * (n + 1)
+            for i, fi in enumerate(f.coeffs):
+                term = intpoly.mul(power([g.a, g.c], n - i), power([g.b, g.d], i))
+                want = [w + fi * t for w, t in zip(want, term)]
+            assert moved.coeffs == tuple(want), (f.coeffs, g)
 
 
 def test_real_root_count_examples():

@@ -165,6 +165,28 @@ def test_algebra_mul_examples():
         algebra_mul(element_theta(f), element_theta(g))
 
 
+def test_algebra_mul_matches_reduction_over_q(rng):
+    # reference: multiply the Fraction coordinate polynomials and reduce the
+    # product mod f(x, 1) over Q, with no pseudo-remainder and no f0 powers
+    def reference(u, v):
+        prod = intpoly.mul(list(reversed(u.coords)), list(reversed(v.coords)))
+        _, r = intpoly.divmod_exact(prod, u.form.univariate())
+        return tuple(reversed(r)) + (0,) * (u.form.degree - len(r))
+
+    for n in range(2, 13, 2):
+        for f0 in (1, -1, 2, -2, 3, 7):
+            f = BinaryForm((f0,) + tuple(rng.randint(-9, 9) for _ in range(n)))
+            zero = AlgebraElement(f, (0,) * n)
+            for _ in range(4):
+                u, v = (AlgebraElement(f, tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))) for _ in range(2))
+                # a product of degree < n, which needs no reduction
+                d = rng.randrange(n)
+                low_u = AlgebraElement(f, u.coords[: d + 1] + (0,) * (n - d - 1))
+                low_v = AlgebraElement(f, v.coords[: n - d] + (0,) * d)
+                for x, y in ((u, v), (u, zero), (zero, v), (low_u, low_v)):
+                    assert algebra_mul(x, y).coords == reference(x, y), (f.coeffs, x.coords, y.coords)
+
+
 def test_table_matches_algebra(rng):
     for n in (2, 4, 6, 8):
         for _ in range(10):
