@@ -30,8 +30,9 @@ MAX_JOBS = 64
 # 6 s, and both grow faster than linearly in P
 MAX_PRIMES = 100_000
 # densities genus range, --genus + --genus-count - 1: at P = 1000 a row at
-# genus 30 takes 1.7 s with --samples 0 and 26 s at the default 100 000
-# samples; at genus 50 these are 16 s and more than 6 minutes
+# genus 30 takes 1.1 s with --samples 0 and 5.1 s at the default 100 000
+# samples; at genus 50 these are 10 s and about 45 s, 22 s of it the exact
+# real-root path for the 0.25 % of samples the float stage leaves
 MAX_GENUS = 30
 
 

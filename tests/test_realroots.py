@@ -237,6 +237,93 @@ def test_dyadic_quartics_stay_in_the_exact_regime(monkeypatch):
     assert len(seen) > 1 and all(E and E2 for E, E2 in seen)
 
 
+def _spy_products(monkeypatch):
+    """Record, per _images call, [halves, products]: 4 halves for the
+    level-0 images of new rows and 2 deeper, and how many matrix products
+    the call formed (1 when the R bound proves every image exact, more when
+    it forms A = |M| |q| too)."""
+    images, seen = realroots._images, []
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            seen[-1][1] += 1
+            return np.asarray(self) @ other
+
+    def spy(q, E, M):
+        seen.append([len(M) // len(q), 0])
+        return images(q, E, M.view(Counting))
+
+    monkeypatch.setattr(realroots, "_images", spy)
+    return seen
+
+
+def test_exact_regime_bound_edge(monkeypatch):
+    # R max|q| with R = 2^(n+1) just below 2^53 takes the shortcut (one
+    # product per call), at 2^53 or above it forms A as well, at level 0 and
+    # deeper; with rows whose level-0 end coefficients vanish (roots at 0
+    # and +-1) and rows with a real double root, scaled up to the edge too
+    rng = np.random.default_rng(21)
+    seen = _spy_products(monkeypatch)
+    for n in (4, 10, 22):
+        top = 2 ** (52 - n)  # R top = 2^53
+        small = rng.integers(-3, 4, size=(200, n + 1))
+        small[:, 0] = rng.choice([-2, -1, 1, 2], size=200)
+        edge = {}
+        for name, m in (("below", top - 1), ("at", top), ("above", top + 1)):
+            rows = rng.integers(-m, m + 1, size=(200, n + 1))
+            rows[rows[:, 0] == 0, 0] = 1
+            rows[:, rng.integers(n + 1)] = m  # max|p| = m exactly
+            edge[name] = rows
+        lead = small[:, 1] != 0  # cofactors of full degree keep the leading column nonzero
+        special = [intpoly.mul(r, q.tolist()) for r in ([1, 0], [1, -1], [1, 1]) for q in small[lead][:10, 1:]]
+        special += [intpoly.mul([1, -6, 9], q.tolist()) for q in small[small[:, 2] != 0][:10, 2:]]  # (x - 3)^2 q
+        special += [[c * ((top - 1) // max(map(abs, r))) for c in r] for r in list(special)]
+        for name, rows in [("small", small), *edge.items(), ("special", np.array(special))]:
+            del seen[:]
+            got = count_real_roots_batch(rows)
+            assert got.tolist() == [_exact(r) for r in rows.tolist()], (n, name)
+            level0 = {products for halves, products in seen if halves == 4}
+            deeper = {min(products, 2) for halves, products in seen if halves == 2}
+            if name == "below":
+                assert level0 == {1} and 2 in deeper, n
+            elif name in ("at", "above"):
+                assert level0 == {2}, (n, name)
+            elif name == "small":
+                assert level0 == {1} and 1 in deeper, n
+
+
+def test_sampler_rows_form_no_abs_product(monkeypatch):
+    # the density sampler's 13-bit odd numerators at n = 4 and 6: the R bound
+    # proves every image exact, so no _images call forms A = |M| |q|
+    rng = np.random.default_rng(22)
+    seen = _spy_products(monkeypatch)
+    for n in (4, 6):
+        C = 2 * rng.integers(0, 1 << 12, size=(20000, n + 1)) + 1 - (1 << 12)
+        del seen[:]
+        count_real_roots_batch(C)
+        assert {halves for halves, _ in seen} == {2, 4} and all(products == 1 for _, products in seen), n
+
+
+def test_exact_regime_finiteness_guard_sees_opposite_infinities(monkeypatch):
+    # under the 0-d zero finiteness is judged by the sum of the product:
+    # +inf and -inf in one image leave it NaN, still not finite, and an
+    # overflow in one image alone keeps only that row from certifying
+    images = realroots._images
+    C = 2 * np.random.default_rng(23).integers(0, 1 << 12, size=(300, 5)) + 1 - (1 << 12)
+    want = _descartes(C)[1]
+
+    def overflowed(q, E, M):
+        Q, E = images(q, E, M)
+        assert not E.ndim
+        if len(Q) == 4:
+            Q[0, 1, 5], Q[0, 2, 5] = np.inf, -np.inf
+        return Q, E
+
+    monkeypatch.setattr(realroots, "_images", overflowed)
+    ok = _descartes(C)[1]
+    assert want.all() and not ok[5] and ok[np.arange(300) != 5].all()
+
+
 def test_stage_holds_under_any_rounding(monkeypatch):
     # the verdict may trust a coefficient only as far as its bound: moving
     # every computed coefficient anywhere within +-E (far beyond the actual
