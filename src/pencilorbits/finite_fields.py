@@ -3,12 +3,15 @@ over F_p: totals, orbit decompositions under SL_n^+- and stabilizers, counts
 of square values on P^1, and the closed-form predictions they must match.
 
 n = 2, p <= 7: a symmetric matrix [[m0, m1], [m1, m2]] is coded as
-m0*p^2 + m1*p + m2 and a pair (A, B) as A*p^3 + B.  The census buckets all
-p^6 pair codes by invariant form in one numpy pass, a counting sort on the
-form code.  An orbit is the image of its smallest pair under every element
-of SL_2^+-(F_p) at once, one 2-D product of the stacked congruence matrices
-of g on (m0, m1, m2) with the coordinates of A and B, and the stabilizer is
-counted among those images, not derived from the orbit size.
+m0*p^2 + m1*p + m2 and a pair (A, B) as A*p^3 + B.  The invariant form of
+(A, B) is (-det A, A0 B2 + A2 B0 - 2 A1 B1, -det B), so the census groups the
+p^3 matrices by -det, and a form's pairs are the (A, B) from its two fibres
+whose mixed coefficient is f1: one small product of the coordinates
+(A0, A1, A2) with (B2, -2 B1, B0) per pair of fibres, kept for the forms
+that share them.  An orbit is the image of its smallest pair under every
+element of SL_2^+-(F_p), g A g^T * p^3 + g B g^T read from cached rows of
+image codes, one row per matrix, and the stabilizer is counted among those
+images, not derived from the orbit size.
 
 n = 4, p = 2: over F_2 each entry of Ax - By is the linear form with
 coefficient planes (entry of A, entry of B), and `_det4` multiplies these
@@ -83,7 +86,8 @@ def _group_sl2pm(p: int) -> np.ndarray:
     S_g (m0, m1, m2) = g M g^T mod p in the coordinates of
     M = [[m0, m1], [m1, m2]]."""
     a, b, c, d = np.indices((p,) * 4).reshape(4, -1)
-    a, b, c, d = (x[np.isin((a * d - b * c) % p, (1, p - 1))] for x in (a, b, c, d))
+    det = (a * d - b * c) % p
+    a, b, c, d = (x[(det == 1) | (det == p - 1)] for x in (a, b, c, d))
     S = np.stack([a * a, 2 * a * b, b * b, a * c, a * d + b * c, b * d, c * c, 2 * c * d, d * d], axis=1)
     return (S % p).reshape(-1, 3)
 
@@ -106,45 +110,70 @@ def count_pairs_with_form(f: BinaryForm, p: int) -> OrbitStats:
 
 
 @lru_cache(maxsize=8)
-def pair_census_n2(p: int) -> dict[tuple[int, int, int], np.ndarray]:
-    """All p^6 pairs (A, B) of symmetric 2 x 2 matrices over F_p as ascending
-    int32 arrays of pair codes A*p^3 + B, bucketed by the invariant form
-    (-1) * det(Ax - By) mod p."""
+def pair_census_n2(p: int) -> tuple[np.ndarray, ...]:
+    """The p^3 symmetric 2 x 2 matrices over F_p grouped by -det mod p:
+    entry d holds the ascending codes m0*p^2 + m1*p + m2 of the matrices
+    with m1^2 - m0*m2 = d mod p, read-only (shared through the cache).  The
+    pairs with invariant form (f0, f1, f2) have A in fibre f0 and B in
+    fibre f2; `_fibre_pairs` picks them out by f1."""
     require_prime(p)
     if p > N2_MAX_P:
         raise BudgetExceededError(f"n = 2 census at p = {p} is outside the enumeration budget")
-    m0, m1, m2 = np.indices((p, p, p), dtype=np.int32).reshape(3, -1)
+    m0, m1, m2 = np.indices((p, p, p)).reshape(3, -1)
     neg_det = (m1 * m1 - m0 * m2) % p
-    mixed = np.multiply.outer(m0, m2) + np.multiply.outer(m2, m0) - 2 * np.multiply.outer(m1, m1)
-    # the form code is below p^3 <= 343: a stable argsort of uint16 is a radix sort
-    key = ((neg_det[:, None] * p + mixed % p) * p + neg_det[None, :]).ravel().astype(np.uint16)
-    order = np.argsort(key, kind="stable").astype(np.int32)
-    order.flags.writeable = False  # the buckets are views into it, shared through the cache
-    sizes = np.bincount(key, minlength=p**3)
-    return {
-        (k // (p * p), k // p % p, k % p): order[end - size : end]
-        for k, (size, end) in enumerate(zip(sizes.tolist(), np.cumsum(sizes).tolist()))
-        if size
-    }
+    fibres = tuple(np.flatnonzero(neg_det == d) for d in range(p))
+    for fibre in fibres:
+        fibre.flags.writeable = False
+    return fibres
+
+
+@lru_cache(maxsize=128)  # every (p, f0, f2) with p <= 7
+def _fibre_pairs(p: int, f0: int, f2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (A, B) with A in fibre f0 and B in fibre f2 of
+    pair_census_n2(p) as ascending codes A*p^3 + B, and beside each the xy
+    coefficient A0 B2 + A2 B0 - 2 A1 B1 mod p of its invariant form, from
+    one product of the coordinates (A0, A1, A2) with (B2, -2 B1, B0).
+    Read-only: shared through the cache."""
+    fibres = pair_census_n2(p)
+    place = np.array([p * p, p, 1])
+    A, B = fibres[f0], fibres[f2]
+    codes = (A[:, None] * p**3 + B).ravel()
+    mixed = ((A[:, None] // place % p) @ (B[:, None] // place[::-1] % p * (1, -2, 1)).T % p).ravel()
+    codes.flags.writeable = mixed.flags.writeable = False
+    return codes, mixed
+
+
+def _pairs_n2(fc: tuple[int, int, int], p: int) -> np.ndarray:
+    """The ascending codes A*p^3 + B of the pairs with invariant form fc,
+    whose coefficients are reduced mod p."""
+    f0, f1, f2 = fc
+    codes, mixed = _fibre_pairs(p, f0, f2)
+    return codes[mixed == f1]
+
+
+@lru_cache(maxsize=1024)  # every symmetric matrix for p <= 7
+def _matrix_images(p: int, M: int) -> np.ndarray:
+    """Codes of g M g^T for g over SL_2^+-(F_p), in _group_sl2pm's order,
+    for the symmetric matrix with code M.  Read-only: shared through the
+    cache."""
+    digits = np.array([M // (p * p), M // p % p, M % p])
+    images = (_group_sl2pm(p) @ digits % p).reshape(-1, 3) @ np.array([p * p, p, 1])
+    images.flags.writeable = False
+    return images
 
 
 def _count_n2(f: BinaryForm, p: int) -> OrbitStats:
     target = tuple(c % p for c in f.coeffs)
-    members = pair_census_n2(p).get(target, np.zeros(0, np.int32))
-    S = _group_sl2pm(p)
-    # the place values of a pair code's base-p digits in the order A0 B0 A1 B1 A2 B2:
-    # start // weights % p, shaped (3, 2), is the matrix whose columns are A and B
-    weights = p ** np.array([5, 2, 4, 1, 3, 0])
-    # entries of the product are sums of three products of residues: reduce them by lookup
-    residue = np.arange(3 * (p - 1) ** 2 + 1) % p
-    alive = np.ones(len(members), bool)
-    stab_sizes = []
-    while alive.any():
-        start = int(members[alive.argmax()])  # smallest pair not yet in an orbit
-        # row g of the product holds the digits of (g A g^T, g B g^T) in the same order
-        orbit = residue[S @ (start // weights % p).reshape(3, 2)].reshape(-1, 6) @ weights
+    members = _pairs_n2(target, p)
+    seen = np.zeros(p**6, bool)  # indexed by pair code
+    rest, stab_sizes = members, []
+    while len(rest):
+        start = int(rest[0])  # smallest pair not yet in an orbit
+        A, B = divmod(start, p**3)
+        orbit = _matrix_images(p, A) * p**3 + _matrix_images(p, B)
         stab_sizes.append(int(np.count_nonzero(orbit == start)))
-        alive[np.searchsorted(members, orbit)] = False
+        seen[orbit] = True
+        rest = rest[~seen[rest]]
     sq = square_value_count(f, p) if p != 2 else None
     return OrbitStats(
         p=p,
@@ -220,10 +249,16 @@ def square_value_count(f: BinaryForm, p: int) -> int:
     """k = #{(a:b) in P^1(F_p) : f(a,b) is a square}, 0 counted as a square."""
     if p == 2:
         raise ValueError("defined for odd p")
+    return _square_value_count(tuple(c % p for c in f.coeffs), p)
+
+
+@lru_cache(maxsize=1024)
+def _square_value_count(fc: tuple[int, ...], p: int) -> int:
+    """square_value_count for the coefficients fc reduced mod p, cached so
+    that a count and the prediction checked against it share the work."""
     squares = {(x * x) % p for x in range(p)}
     # f(a, 1) for a in F_p, then f(1, 0) = f0
-    k = sum(gf_eval(f.coeffs, a, p) in squares for a in range(p))
-    return k + (f.coeffs[0] % p in squares)
+    return sum(gf_eval(fc, a, p) in squares for a in range(p)) + (fc[0] in squares)
 
 
 def orbit_statistics_prediction(f: BinaryForm, p: int) -> OrbitStats:

@@ -3,7 +3,7 @@ statistics, and seeded random sampling."""
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import gfpoly, intpoly
 
@@ -167,11 +167,17 @@ def factorization_type_mod_p(f: BinaryForm, p: int) -> FactorizationType:
 def is_separable_mod_p(f: BinaryForm, p: int) -> bool:
     """True when f mod p is a nonzero binary form with n distinct projective
     roots (including multiplicity at (1:0))."""
-    n = f.degree
-    reduced = gfpoly.normalize(f.univariate(), p)
+    return _separable_mod_p(tuple(c % p for c in f.coeffs), p)
+
+
+@lru_cache(maxsize=1024)
+def _separable_mod_p(fc: tuple[int, ...], p: int) -> bool:
+    """is_separable_mod_p for the coefficients fc reduced mod p, cached so
+    that a caller's check and the prediction that repeats it share the work."""
+    reduced = gfpoly.normalize(list(fc), p)
     if not reduced:
         return False
-    v = n - (len(reduced) - 1)
+    v = len(fc) - len(reduced)
     if v > 1:
         return False
     if len(reduced) == 1:

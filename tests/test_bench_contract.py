@@ -23,11 +23,20 @@ def test_traced_functions_exist():
 def test_census_caches_are_cleared_between_rounds():
     # run.py's find_caches clears an lru_cache only where its __module__ is
     # the module that holds it; a table cached any other way is timed warm
-    from pencilorbits import finite_fields
+    from pencilorbits import finite_fields, forms
 
-    for fn in (finite_fields._quartic_pair_table, finite_fields.pair_census_n2):
+    cached = (
+        (finite_fields, "_quartic_pair_table"),
+        (finite_fields, "pair_census_n2"),
+        (finite_fields, "_fibre_pairs"),
+        (finite_fields, "_matrix_images"),
+        (finite_fields, "_square_value_count"),
+        (forms, "_separable_mod_p"),
+    )
+    for mod, name in cached:
+        fn = getattr(mod, name)
         assert callable(getattr(fn, "cache_clear", None)), fn
-        assert fn.__module__ == "pencilorbits.finite_fields", fn
+        assert fn.__module__ == mod.__name__, fn
 
 
 def test_density_caches_are_cleared_between_rounds():

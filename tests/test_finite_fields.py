@@ -6,10 +6,12 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from pencilorbits import finite_fields, forms
 from pencilorbits.forms import BinaryForm, is_separable_mod_p
 from pencilorbits.orbits import SymmetricPair, invariant_form
 from pencilorbits.finite_fields import (
     BudgetExceededError,
+    _pairs_n2,
     _quartic_key,
     _quartic_pair_table,
     count_pairs_with_form,
@@ -133,8 +135,15 @@ def test_quartic_census_classes():
 
 
 def test_census_total():
-    census = pair_census_n2(3)
-    assert sum(len(v) for v in census.values()) == 3**6
+    # the fibres of -det partition the p^3 matrices, and the pairs of the p^3
+    # forms read from them partition the p^6 pairs
+    for p in (2, 3, 5, 7):
+        fibres = pair_census_n2(p)
+        assert len(fibres) == p
+        assert sorted(np.concatenate(fibres).tolist()) == list(range(p**3))
+        with pytest.raises(ValueError):
+            fibres[0][0] = 1  # shared through the cache
+        assert sum(len(_pairs_n2(fc, p)) for fc in itertools.product(range(p), repeat=3)) == p**6
 
 
 def test_square_value_count_examples():
@@ -166,6 +175,30 @@ def test_prediction_examples(rng):
     assert pred.orbit_count == 1 and pred.stabilizer_sizes == (1,)
     with pytest.raises(ValueError):
         orbit_statistics_prediction(BinaryForm((1, 2, 1)), 2)
+
+
+def test_mod_p_caches_key_on_p_and_reduced_coefficients():
+    # separability and square counts are cached on (coefficients mod p, p)
+    forms._separable_mod_p.cache_clear()
+    finite_fields._square_value_count.cache_clear()
+    f = BinaryForm((1, 1, 1))  # (x - y)^2 mod 3, separable mod 5
+    for p in (3, 5):
+        assert is_separable_mod_p(f, p) == (f.disc % p != 0)
+        assert square_value_count(f, p) == oracle_count_n2(f.coeffs, p)[3]
+    assert [square_value_count(f, p) for p in (3, 5)] == [4, 3]
+
+    def cache_sizes():
+        return forms._separable_mod_p.cache_info().currsize, finite_fields._square_value_count.cache_info().currsize
+
+    cached = cache_sizes()
+    for p in (3, 5):
+        g = BinaryForm(tuple(c + p * k for c, k in zip(f.coeffs, (2, -1, 3))))
+        assert is_separable_mod_p(g, p) == is_separable_mod_p(f, p)
+        assert square_value_count(g, p) == square_value_count(f, p)
+    assert cache_sizes() == cached  # f + p*g hit the entries f made
+    # a cached inseparable verdict still stops the prediction
+    with pytest.raises(ValueError, match="not separable"):
+        orbit_statistics_prediction(f, 3)
 
 
 @pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, 9])
@@ -377,16 +410,15 @@ def test_count_n2_matches_orbit_walk_p7_sample():
 
 
 def test_census_codes_match_oracle_buckets():
+    # every form mod p, those with no pairs included
     for p in (2, 3, 5, 7):
-        census = pair_census_n2(p)
         oracle = oracle_census_n2(p)
-        assert census.keys() == oracle.keys()
-        for form, pairs in oracle.items():
+        for form in itertools.product(range(p), repeat=3):
             codes = [
                 ((A[0][0] * p + A[0][1]) * p + A[1][1]) * p**3 + (B[0][0] * p + B[0][1]) * p + B[1][1]
-                for A, B in pairs
+                for A, B in oracle.get(form, [])
             ]
-            assert census[form].tolist() == sorted(codes), (p, form)
+            assert _pairs_n2(form, p).tolist() == sorted(codes), (p, form)
 
 
 def test_quartic_table_matches_permutation_census():
@@ -424,3 +456,19 @@ def test_quartic_census_peak_allocation():
     finally:
         tracemalloc.stop()
     assert peak <= 512 << 10, peak
+
+
+def test_n2_count_peak_allocation():
+    # a cold count at p = 7 builds the 343 matrix codes, one product of two
+    # -det fibres, the image rows of its orbits' first pairs and a one-byte
+    # mask over the 7^6 pair codes, but no sort or int array over all pairs
+    for fn in vars(finite_fields).values():
+        if getattr(fn, "__module__", None) == finite_fields.__name__ and hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    tracemalloc.start()
+    try:
+        count_pairs_with_form(BinaryForm((1, 0, 1)), 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 << 10, peak
