@@ -3,7 +3,7 @@ statistics, and seeded random sampling."""
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import gfpoly, intpoly
 
@@ -136,19 +136,11 @@ def sl2_act(g: UnimodularMatrix2, f: BinaryForm) -> BinaryForm:
 
 def real_root_count(f: BinaryForm) -> int:
     """Number of roots of f in P^1(R); a simple root at (1:0) is counted when
-    f0 = 0.  Exact (a Sylvester query on f(x, 1)); requires Disc(f) != 0."""
-    coeffs = intpoly.strip(f.univariate())
-    if not coeffs:
-        raise ValueError("zero form")
-    at_infinity = 1 if f.coeffs[0] == 0 else 0
-    if f.coeffs[0] == 0 and f.coeffs[1] == 0:
-        raise ValueError("degenerate form: multiple root at infinity")
-    if len(coeffs) == 1:
-        return at_infinity
-    count = intpoly.real_root_count_squarefree(coeffs)
-    if count is None:
+    f0 = 0.  Exact (a Sylvester query on f(x, 1), squarefree of degree >= 1
+    as y^2 does not divide f); requires Disc(f) != 0 (else ValueError)."""
+    if f.disc == 0:
         raise ValueError("degenerate form: Disc(f) = 0")
-    return count + at_infinity
+    return intpoly.real_root_count_squarefree(f.univariate()) + (f.coeffs[0] == 0)
 
 
 def factorization_type_mod_p(f: BinaryForm, p: int) -> FactorizationType:
@@ -165,25 +157,12 @@ def factorization_type_mod_p(f: BinaryForm, p: int) -> FactorizationType:
 
 
 def is_separable_mod_p(f: BinaryForm, p: int) -> bool:
-    """True when f mod p is a nonzero binary form with n distinct projective
-    roots (including multiplicity at (1:0))."""
-    return _separable_mod_p(tuple(c % p for c in f.coeffs), p)
-
-
-@lru_cache(maxsize=1024)
-def _separable_mod_p(fc: tuple[int, ...], p: int) -> bool:
-    """is_separable_mod_p for the coefficients fc reduced mod p, cached so
-    that a caller's check and the prediction that repeats it share the work."""
-    reduced = gfpoly.normalize(list(fc), p)
-    if not reduced:
-        return False
-    v = len(fc) - len(reduced)
-    if v > 1:
-        return False
-    if len(reduced) == 1:
-        return True
-    d = gfpoly.gf_gcd(reduced, gfpoly.gf_derivative(reduced, p), p)
-    return len(d) - 1 == 0
+    """True when f mod p is a nonzero binary form with n distinct roots in
+    P^1 over the algebraic closure of F_p, (1:0) included: p does not divide
+    Disc(f).  Disc is an integer polynomial in the coefficients, so
+    Disc(f) mod p is the discriminant of f mod p, which vanishes exactly when
+    f mod p is zero or has a repeated factor in P^1, y^2 included."""
+    return f.disc % p != 0
 
 
 def separable_factor_count_mod_p(f: BinaryForm, p: int) -> int:
@@ -203,5 +182,5 @@ def random_nondegenerate_form(n: int, X: int, rng: random.Random) -> BinaryForm:
         raise ValueError("need X >= 1: height 0 admits only the zero form")
     while True:
         f = BinaryForm(tuple(rng.randint(-X, X) for _ in range(n + 1)))
-        if any(f.coeffs) and f.disc != 0:
+        if f.disc != 0:
             return f

@@ -215,23 +215,25 @@ def _target_module_basis(f: BinaryForm) -> list[AlgebraElement]:
 
 def _pair_data(I: BasedIdeal, alpha: AlgebraElement) -> tuple[list[str], dict]:
     """(diagnostics, expansions): the failed pair-data conditions, and the
-    coordinates of b_i b_j / alpha on the natural I_f^(n-3) basis keyed by
-    (i, j) with i <= j (empty when Disc(f) = 0)."""
+    coordinates of b_i b_j / alpha on the natural I_f^(n-3) basis (t_k) keyed
+    by (i, j) with i <= j (empty when Disc(f) = 0), solved as those of b_i b_j
+    on (alpha t_k), which needs no inverse of alpha."""
     f = I.form
     n = f.degree
     if f.disc == 0:
         return ["Disc(f) = 0"], {}
-    target = BasedIdeal(f, tuple(_target_module_basis(f)))
-    alpha_inv = alpha.inverse()
+    nalpha = rings.algebra_norm(alpha)
+    if nalpha == 0:
+        raise ZeroDivisionError("alpha is a zero divisor")
+    target = BasedIdeal(f, tuple(rings.algebra_mul(alpha, t) for t in _target_module_basis(f)))
     diagnostics: list[str] = []
     keys = [(i, j) for i in range(len(I.basis)) for j in range(i, n)]
-    prods = [rings.algebra_mul(rings.algebra_mul(I.basis[i], I.basis[j]), alpha_inv) for i, j in keys]
+    prods = [rings.algebra_mul(I.basis[i], I.basis[j]) for i, j in keys]
     expansions = dict(zip(keys, rings.expansions_in_basis(target, prods)))
     for (i, j), coords in expansions.items():
         if any(c.denominator != 1 for c in coords):
             diagnostics.append(f"b_{i} b_{j} / alpha is not integral on the I_f^(n-3) basis")
     nI = rings.ideal_norm(I)
-    nalpha = rings.algebra_norm(alpha)
     ntarget = Fraction(1, f.coeffs[0] ** (n - 3)) if n >= 4 else Fraction(f.coeffs[0])
     ntarget = abs(ntarget)
     if nI**2 != abs(nalpha) * ntarget:

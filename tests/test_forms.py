@@ -91,6 +91,10 @@ def test_real_root_count_examples():
     # root at infinity counted when f0 = 0
     f = BinaryForm((0, 1, 0, -1, 0))
     assert real_root_count(f) == 4
+    # Disc(f) = 0: the zero form, y^2 and y^2 x^2, (x - y)^2, (x - y)^2 (x^2 + y^2)
+    for coeffs in ((0, 0, 0), (0, 0, 1), (0, 0, 1, 0, 0), (1, -2, 1), (1, -2, 2, -2, 1)):
+        with pytest.raises(ValueError, match="degenerate"):
+            real_root_count(BinaryForm(coeffs))
 
 
 def test_real_root_parity(rng):
@@ -159,3 +163,22 @@ def test_separability(rng):
     assert is_separable_mod_p(BinaryForm((1, 1, 1)), 2)
     assert not is_separable_mod_p(BinaryForm((1, 2, 1)), 2)  # (x+y)^2
     assert not is_separable_mod_p(BinaryForm((0, 0, 1)), 5)  # y^2 at (1:0)
+
+    def separable(f, p):  # nonzero mod p with every factor simple, (1:0) included
+        try:
+            return all(e == 1 for _, e in factorization_type_mod_p(f, p).parts)
+        except ZeroFormError:
+            return False
+
+    # every form of degree 2 and 4 mod p = 2, 3, 5 and of degree 2 mod 7,
+    # then sextics whose leading coefficients p often divides
+    cases = [
+        (BinaryForm(coeffs), p)
+        for p, degrees in ((2, (2, 4)), (3, (2, 4)), (5, (2, 4)), (7, (2,)))
+        for n in degrees
+        for coeffs in itertools.product(range(p), repeat=n + 1)
+    ]
+    sextics = [BinaryForm(tuple(rng.randint(-50, 50) for _ in range(7))) for _ in range(50)]
+    cases += [(f, p) for f in sextics for p in (2, 3, 5, 7)]
+    for f, p in cases:
+        assert is_separable_mod_p(f, p) == separable(f, p), (p, f.coeffs)

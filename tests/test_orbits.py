@@ -395,6 +395,11 @@ def test_verify_pair_data_trivial_monic_case():
     I = rings.ideal_power_basis(f, 0)
     ok, diag = verify_pair_data(I, rings.element_one(f))
     assert ok, diag
+    # alpha must be a unit of K_f: 0, and theta - 1 where f = (x - y)(x + y)
+    g = BinaryForm((1, 0, -1))
+    for h, alpha in ((f, rings.element_one(f) * 0), (g, rings.linear_element(g, 1, -1))):
+        with pytest.raises(ZeroDivisionError):
+            verify_pair_data(rings.ideal_power_basis(h, 0), alpha)
 
 
 def test_x_minus_T_one_one_point():
