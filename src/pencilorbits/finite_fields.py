@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import BinaryForm, is_separable_mod_p, separable_factor_count_mod_p
+from .forms import BinaryForm, factorization_type_mod_p, is_separable_mod_p
 from .gfpoly import gf_eval
 from .numutil import require_prime
 
@@ -263,17 +263,18 @@ def _square_value_count(fc: tuple[int, ...], p: int) -> int:
 
 def orbit_statistics_prediction(f: BinaryForm, p: int) -> OrbitStats:
     """Closed-form predictions for separable f mod p: 2^(m-1) orbits with
-    stabilizers of size 2^m for odd p (one orbit, trivial stabilizer at
-    p = 2); total elements #SL_n(F_p) either way."""
-    require_prime(p)
+    stabilizers of size 2^m for odd p, m the number of irreducible factors of
+    f over F_p, computed for odd p only (one orbit, trivial stabilizer at
+    p = 2, where m plays no part); total elements #SL_n(F_p) either way.
+    ValueError unless p is prime and f is separable mod p."""
     if not is_separable_mod_p(f, p):
         raise ValueError("form is not separable mod p")
     n = f.degree
-    m = separable_factor_count_mod_p(f, p)
     total = sl_n_order(n, p)
     if p == 2:
         orbits, stab = 1, 1
     else:
+        m = factorization_type_mod_p(f, p).m
         orbits, stab = 2 ** (m - 1), 2**m
     return OrbitStats(
         p=p,

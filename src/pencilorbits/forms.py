@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import gfpoly, intpoly
+from .numutil import require_prime
 
 
 class ZeroFormError(ValueError):
@@ -145,7 +146,9 @@ def real_root_count(f: BinaryForm) -> int:
 
 def factorization_type_mod_p(f: BinaryForm, p: int) -> FactorizationType:
     """Factorization type of f over F_p as a binary form: the factor y^v with
-    v = n - deg(f(x,1) mod p) accounts for leading-coefficient vanishing."""
+    v = n - deg(f(x,1) mod p) accounts for leading-coefficient vanishing.
+    ValueError unless p is prime."""
+    require_prime(p)
     reduced = gfpoly.normalize(f.univariate(), p)
     if not reduced:
         raise ZeroFormError(f"form vanishes identically mod {p}")
@@ -161,19 +164,10 @@ def is_separable_mod_p(f: BinaryForm, p: int) -> bool:
     P^1 over the algebraic closure of F_p, (1:0) included: p does not divide
     Disc(f).  Disc is an integer polynomial in the coefficients, so
     Disc(f) mod p is the discriminant of f mod p, which vanishes exactly when
-    f mod p is zero or has a repeated factor in P^1, y^2 included."""
+    f mod p is zero or has a repeated factor in P^1, y^2 included.
+    ValueError unless p is prime."""
+    require_prime(p)
     return f.disc % p != 0
-
-
-def separable_factor_count_mod_p(f: BinaryForm, p: int) -> int:
-    """m, the number of irreducible factors of f over F_p, for f separable
-    mod p, which the caller checks (is_separable_mod_p).  Then f(x, 1) mod p
-    is squarefree, so one distinct-degree factorization counts its factors,
-    and y divides f at most once (v = n - deg <= 1): the squarefree case of
-    factorization_type_mod_p, without its squarefree decomposition."""
-    reduced = gfpoly.normalize(f.univariate(), p)
-    m = sum((len(g) - 1) // d for d, g in gfpoly.distinct_degree_factorization(gfpoly.gf_monic(reduced, p), p))
-    return m + f.degree - (len(reduced) - 1)
 
 
 def random_nondegenerate_form(n: int, X: int, rng: random.Random) -> BinaryForm:

@@ -1,12 +1,12 @@
-"""Dense univariate polynomial arithmetic over F_p: squarefree and
-distinct-degree decompositions, and factorization types built from them.
+"""Dense univariate polynomial arithmetic over F_p and factorization types.
 
 Coefficient lists are in descending order with entries reduced mod p and a
 nonzero leading coefficient ([] is the zero polynomial).  There is no full
 factorization: a factorization type needs only the degrees and
-multiplicities of the irreducible factors, which the two decompositions give
-without splitting.  Cantor-Zassenhaus equal-degree splitting (odd p, seeded
-by the caller) remains for finding the roots of a polynomial in F_p.
+multiplicities of the irreducible factors, which `factor_degrees` reads from
+distinct-degree gcds without splitting any factor.  Cantor-Zassenhaus
+equal-degree splitting (odd p, seeded by the caller) remains only for
+finding the roots of a polynomial in F_p.
 """
 
 import random
@@ -45,10 +45,7 @@ def gf_divmod(a, b, mod):
             for j in range(1, db + 1):
                 tail[j - 1] = (tail[j - 1] - c * b[j]) % mod
         r = tail
-    i = 0
-    while i < len(r) and r[i] == 0:
-        i += 1
-    return quo, r[i:]
+    return quo, intpoly.strip(r)
 
 
 def gf_mod(a, b, mod):
@@ -59,10 +56,7 @@ def gf_gcd(a, b, mod):
     a, b = normalize(a, mod), normalize(b, mod)
     while b:
         a, b = b, gf_mod(a, b, mod)
-    if a:
-        inv = pow(a[0], -1, mod)
-        a = [c * inv % mod for c in a]
-    return a
+    return gf_monic(a, mod)
 
 
 def gf_powmod(base, e, modulus, mod):
@@ -84,79 +78,6 @@ def gf_monic(a, mod):
         return a
     inv = pow(a[0], -1, mod)
     return [c * inv % mod for c in a]
-
-
-def gf_derivative(a, mod):
-    return normalize(intpoly.derivative(a), mod)
-
-
-def squarefree_decomposition(f, mod):
-    """Char-p squarefree decomposition: list of (factor, multiplicity) with
-    factors monic, squarefree, pairwise coprime, and product f up to unit."""
-    f = gf_monic(normalize(f, mod), mod)
-    out: list[tuple[list[int], int]] = []
-    if len(f) <= 1:
-        return out
-    df = gf_derivative(f, mod)
-    if not df:
-        # f = g(x^p) = (p-th root of g)^p over F_p
-        for fac, mult in squarefree_decomposition(_pth_root(f, mod), mod):
-            out.append((fac, mult * mod))
-        return _merge(out)
-    t = gf_gcd(f, df, mod)
-    v, _ = gf_divmod(f, t, mod)
-    k = 0
-    while len(v) > 1:
-        k += 1
-        w = gf_gcd(t, v, mod)
-        u, _ = gf_divmod(v, w, mod)  # factors of multiplicity exactly k
-        if len(u) > 1:
-            out.append((gf_monic(u, mod), k))
-        v = w
-        t, _ = gf_divmod(t, w, mod)
-    if len(t) > 1:
-        # remaining multiplicities all divisible by p
-        for fac, mult in squarefree_decomposition(_pth_root(t, mod), mod):
-            out.append((fac, mult * mod))
-    return _merge(out)
-
-
-def _merge(pairs):
-    acc: dict[tuple, int] = {}
-    for fac, m in pairs:
-        key = tuple(fac)
-        acc[key] = acc.get(key, 0) + m
-    return [(list(k), m) for k, m in acc.items()]
-
-
-def _pth_root(f, mod):
-    # f(x) = g(x^p) over F_p; g coefficients are the p-th roots = themselves
-    n = len(f) - 1
-    if n % mod:
-        raise ArithmeticError("not a polynomial in x^p")
-    g = []
-    for i in range(0, n + 1, mod):
-        g.append(f[i])
-    return g
-
-
-def distinct_degree_factorization(f, mod):
-    """[(d, product of all monic irreducible factors of degree d)] for a
-    monic squarefree f: g_d = gcd(x^(p^d) - x, v), v <- v / g_d, then the
-    last class, of degree deg v.  Every class divides f, so the remainders
-    mod f give the same gcds as remainders mod v.  Each power x^(p^d) mod f
-    is taken only while a class of degree d can remain."""
-    out, v, h, d = [], list(f), [1, 0], 0
-    while len(v) - 1 >= 2 * (d + 1):
-        d += 1
-        h = gf_powmod(h, mod, f, mod)
-        g = gf_gcd(add_mod(h, [mod - 1, 0], mod), v, mod)
-        if len(g) > 1:
-            out.append((d, g))
-            v, _ = gf_divmod(v, g, mod)
-    if len(v) > 1:
-        out.append((len(v) - 1, v))
-    return out
 
 
 def add_mod(a, b, mod):
@@ -204,11 +125,36 @@ def equal_degree_split(f, d, mod, rng: random.Random):
 
 def factor_degrees(f, mod) -> list[tuple[int, int]]:
     """Sorted (degree, multiplicity) pairs of the distinct monic irreducible
-    factors of f over F_p.  The squarefree parts have distinct multiplicities
-    and are pairwise coprime, and a distinct-degree class of degree d and
-    product g holds deg(g) / d factors, so no class is split."""
-    out = []
-    for sqf, mult in squarefree_decomposition(f, mod):
-        for d, prod in distinct_degree_factorization(sqf, mod):
-            out += [(d, mult)] * ((len(prod) - 1) // d)
-    return sorted(out)
+    factors of f over F_p, read from distinct-degree gcds without a
+    squarefree decomposition and without splitting any factor.
+
+    With f monic, v the cofactor of f not yet accounted for and
+    h = x^(p^d) mod f: x^(p^d) - x is the squarefree product of the monic
+    irreducibles of degree dividing d, and v has no factor of degree < d left,
+    so g = gcd(h - x, v) is the product of the degree-d factors of v, each
+    taken once.  Every cofactor divides f, so remainders mod f give the same
+    gcds as remainders mod v.  For k = 1, 2, ...: once v <- v / g,
+    rest = gcd(g, v) is the product of the degree-d factors of multiplicity
+    > k, so (deg g - deg rest) / d of them have multiplicity exactly k; then
+    g <- rest.  When deg v < d, v has no degree-d factor and rest = 1 without
+    a gcd.  No step takes a p-th root, so multiplicities divisible by p, and
+    p = 2, need no special case.  A power is taken only while deg v >= 2d;
+    after the loop v has no factor of degree <= d and deg v < 2(d + 1), so a
+    nonconstant v is one irreducible of multiplicity 1 and degree > d.  The
+    pairs come out in (degree, multiplicity) order, so no sort is needed."""
+    f = gf_monic(normalize(f, mod), mod)
+    out, v, h, d = [], f, [1, 0], 0
+    while len(v) - 1 >= 2 * (d + 1):
+        d += 1
+        h = gf_powmod(h, mod, f, mod)
+        g = gf_gcd(add_mod(h, [mod - 1, 0], mod), v, mod)
+        k = 0
+        while len(g) > 1:
+            k += 1
+            v, _ = gf_divmod(v, g, mod)
+            rest = gf_gcd(g, v, mod) if len(v) - 1 >= d else [1]
+            out += [(d, k)] * ((len(g) - len(rest)) // d)
+            g = rest
+    if len(v) > 1:
+        out.append((len(v) - 1, 1))
+    return out

@@ -54,15 +54,64 @@ def random_unimodular(n: int, rng, steps: int = 12, bound: int = 2) -> list[list
     return g
 
 
+def squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Oracle: the char-p squarefree decomposition of f over F_p, as
+    (factor, multiplicity) pairs with the factors monic, squarefree and
+    pairwise coprime and their product f up to a unit.  Gcds of f with its
+    derivative give the parts of multiplicity prime to p; what is left has
+    every multiplicity divisible by p, so it is g(x^p), the p-th power of g
+    over F_p, and is decomposed again from g."""
+    f = gfpoly.gf_monic(gfpoly.normalize(f, p), p)
+    out: list[tuple[list[int], int]] = []
+    if len(f) <= 1:
+        return out
+    t = gfpoly.gf_gcd(f, gfpoly.normalize(intpoly.derivative(f), p), p)
+    v, _ = gfpoly.gf_divmod(f, t, p)
+    k = 0
+    while len(v) > 1:
+        k += 1
+        w = gfpoly.gf_gcd(t, v, p)
+        u, _ = gfpoly.gf_divmod(v, w, p)  # the factors of multiplicity exactly k
+        if len(u) > 1:
+            out.append((u, k))
+        v = w
+        t, _ = gfpoly.gf_divmod(t, w, p)
+    if len(t) > 1:
+        # t = g(x^p): the coefficients of g are every p-th one of t
+        out += [(fac, mult * p) for fac, mult in squarefree_decomposition(t[::p], p)]
+    merged: dict[tuple[int, ...], int] = {}
+    for fac, mult in out:
+        merged[tuple(fac)] = merged.get(tuple(fac), 0) + mult
+    return [(list(fac), mult) for fac, mult in merged.items()]
+
+
+def distinct_degree_factorization(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """Oracle: [(d, product of the monic irreducible factors of degree d)]
+    for a monic squarefree f over F_p, by gcd(x^(p^d) - x, v) with v the
+    cofactor of the lower degrees, then the last class, of degree deg v."""
+    out, v, h, d = [], list(f), [1, 0], 0
+    while len(v) - 1 >= 2 * (d + 1):
+        d += 1
+        h = gfpoly.gf_powmod(h, p, f, p)
+        g = gfpoly.gf_gcd(gfpoly.add_mod(h, [p - 1, 0], p), v, p)
+        if len(g) > 1:
+            out.append((d, g))
+            v, _ = gfpoly.gf_divmod(v, g, p)
+    if len(v) > 1:
+        out.append((len(v) - 1, v))
+    return out
+
+
 def factor(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Oracle for the irreducible factors of f over F_p, p odd: the monic
     irreducible factors with their multiplicities, sorted by degree, then
-    coefficients.  Each squarefree part is split into distinct-degree
-    classes and each class by Cantor-Zassenhaus."""
+    coefficients.  Each part of `squarefree_decomposition` is split into the
+    classes of `distinct_degree_factorization` and each class by
+    Cantor-Zassenhaus."""
     rnd = random.Random(0)
     out = []
-    for sqf, mult in gfpoly.squarefree_decomposition(f, p):
-        for d, prod in gfpoly.distinct_degree_factorization(sqf, p):
+    for sqf, mult in squarefree_decomposition(f, p):
+        for d, prod in distinct_degree_factorization(sqf, p):
             out += [(irr, mult) for irr in gfpoly.equal_degree_split(prod, d, p, rnd)]
     return sorted(out, key=lambda t: (len(t[0]), t[0]))
 
@@ -243,7 +292,7 @@ def unit_square_value_oracle(hbar: list[int], p: int) -> bool:
     if p <= max(1024, (len(hbar) + 1) ** 2):
         squares = {x * x % p for x in range(1, (p + 1) // 2 + 1)}
         return any(gfpoly.gf_eval(hbar, t, p) in squares for t in range(p))
-    if any(j % 2 for _, j in gfpoly.squarefree_decomposition(hbar, p)):
+    if any(j % 2 for _, j in squarefree_decomposition(hbar, p)):
         return True
     return pow(hbar[0], (p - 1) // 2, p) == 1
 
@@ -276,11 +325,11 @@ def serial_square_class(alpha, beta, trials: int = 50) -> SquareClassVerdict:
             continue
         used += 1
         reduced = gfpoly.gf_monic(gfpoly.normalize(funiv, p), p)
-        if len(gfpoly.gf_gcd(reduced, gfpoly.gf_derivative(reduced, p), p)) > 1:
+        if len(gfpoly.gf_gcd(reduced, gfpoly.normalize(intpoly.derivative(reduced), p), p)) > 1:
             raise ArithmeticError(f"f has a repeated factor mod the good prime {p}")
         dinv = pow(D % p, -1, p)
         gmod = [c * dinv % p for c in gfpoly.normalize(G, p)]
-        for d, g in gfpoly.distinct_degree_factorization(reduced, p):
+        for d, g in distinct_degree_factorization(reduced, p):
             if gfpoly.gf_powmod(gmod, (p**d - 1) // 2, g, p) != [1]:
                 return SquareClassVerdict.DISTINCT
     return SquareClassVerdict.EQUAL if used else SquareClassVerdict.INCONCLUSIVE

@@ -11,8 +11,9 @@ degree it draws `curves` forms of the paired height exactly as
 library (the int64 point-search kernel and the c*G^2 test on the large-p
 descent branch), and once with the reference point-search loop and
 `_takes_unit_square_value` replaced by the square-set scan and the
-multiplicities of `gfpoly.squarefree_decomposition`.  The records (verdict
-per place, overall verdict and point) must be equal.  Prints one line per
+multiplicities of the `squarefree_decomposition` oracle in
+`tests/conftest.py`.  The records (verdict per place, overall verdict and
+point) must be equal.  Prints one line per
 degree and returns 1 on any disagreement.  At height 1000 a sextic
 discriminant can be the product of two 55-bit primes; `numutil.factorize`
 splits those by ECM once Pollard's rho has spent its step budget.

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +17,6 @@ from pencilorbits.forms import (
     height,
     is_separable_mod_p,
     real_root_count,
-    separable_factor_count_mod_p,
     sl2_act,
 )
 from conftest import factor, factor_by_trial_division, random_nondegenerate, random_sl2
@@ -148,15 +151,44 @@ def test_factorization_type_matches_oracle_every_form():
                 assert factorization_type_mod_p(f, p).parts == tuple(sorted(parts)), (p, coeffs)
 
 
-def test_separable_factor_count_is_the_factorization_type_m():
-    # every separable form of degree 2 and 4 mod p = 2, 3, 5 and of degree 2
-    # mod 7: the squarefree shortcut reads the same m as the full type
+def test_factorization_type_m_counts_the_distinct_factors():
+    # every nonzero form of degree 2 and 4 mod p = 2, 3, 5 and of degree 2
+    # mod 7: m, the count behind the 2^(m-1)-orbit prediction, is the number
+    # of distinct irreducible factors of f(x, 1) found by trial division,
+    # plus one when y divides f
     for p, degrees in ((2, (2, 4)), (3, (2, 4)), (5, (2, 4)), (7, (2,))):
         for n in degrees:
             for coeffs in itertools.product(range(p), repeat=n + 1):
-                f = BinaryForm(coeffs)
-                if is_separable_mod_p(f, p):
-                    assert separable_factor_count_mod_p(f, p) == factorization_type_mod_p(f, p).m, (p, coeffs)
+                if not any(coeffs):
+                    continue
+                reduced = list(coeffs[next(i for i, c in enumerate(coeffs) if c):])
+                m = len(factor_by_trial_division(reduced, p)) + (len(reduced) - 1 < n)
+                assert factorization_type_mod_p(BinaryForm(coeffs), p).m == m, (p, coeffs)
+
+
+def test_mod_p_functions_reject_non_prime_p():
+    # Z/4 and Z/9 are not fields, so no factorization type or separability
+    # exists there; ZeroFormError is a ValueError too, so the message is checked
+    f = BinaryForm((1, 1, 1, 1, 1))
+    for p in (0, 1, 4, 9):
+        for fn in (factorization_type_mod_p, is_separable_mod_p):
+            with pytest.raises(ValueError, match="must be a prime"):
+                fn(f, p)
+    # at a negative p, gf_powmod's e >>= 1 would stay at -1 forever: a fresh
+    # interpreter under a timeout, so a hang fails the test instead of
+    # stalling the suite
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(q for q in (src, os.environ.get("PYTHONPATH")) if q))
+    code = (
+        "from pencilorbits.forms import BinaryForm, factorization_type_mod_p, is_separable_mod_p\n"
+        "for fn in (factorization_type_mod_p, is_separable_mod_p):\n"
+        "    try:\n"
+        "        fn(BinaryForm((1, 0, 1)), -3)\n"
+        "    except ValueError as e:\n"
+        "        print('ValueError', e)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0 and proc.stdout.count("ValueError") == 2, proc.stderr
 
 
 def test_separability(rng):

@@ -38,9 +38,17 @@ def test_factor_degrees_matches_factor():
                 continue
             want = sorted((len(irr) - 1, mult) for irr, mult in reference(f, p))
             assert gfpoly.factor_degrees(f, p) == want, (p, f)
+    # every monic polynomial of degree <= 8 over F_2 and <= 5 over F_3,
+    # multiplicities divisible by p included
+    for p, top in ((2, 8), (3, 5)):
+        for deg in range(1, top + 1):
+            for tail in itertools.product(range(p), repeat=deg):
+                f = [1, *tail]
+                want = sorted((len(irr) - 1, mult) for irr, mult in factor_by_trial_division(f, p))
+                assert gfpoly.factor_degrees(f, p) == want, (p, f)
 
 
-def test_squarefree_decomposition_on_constructed_powers():
+def test_factor_degrees_on_constructed_powers():
     rnd = random.Random(6)
     for p in (2, 3, 5):
         for _ in range(30):
@@ -55,13 +63,11 @@ def test_squarefree_decomposition_on_constructed_powers():
                         break
             mults = [rnd.choice([1, 2, 3, p, p + 1, 2 * p]) for _ in irrs]
             f = [1]
-            want = {}
             for irr, m in zip(irrs, mults):
-                want[m] = gfpoly.gf_mul(want.get(m, [1]), irr, p)
                 for _ in range(m):
                     f = gfpoly.gf_mul(f, irr, p)
-            got = dict((m, part) for part, m in gfpoly.squarefree_decomposition(f, p))
-            assert got == want, (p, irrs, mults)
+            want = sorted((len(irr) - 1, m) for irr, m in zip(irrs, mults))
+            assert gfpoly.factor_degrees(f, p) == want, (p, irrs, mults)
 
 
 def test_factor_degrees_irreducible_brute_force():
@@ -105,17 +111,22 @@ def test_gf_powmod_matches_repeated_multiplication(monkeypatch):
             assert len(calls) == max(e.bit_length() - 1, 0) + bin(e).count("1")
 
 
-def test_distinct_degree_factorization_takes_powers_lazily(monkeypatch):
-    # a power x^(p^d) is taken only while a class of degree d can remain: at
+def test_factor_degrees_takes_powers_lazily(monkeypatch):
+    # a power x^(p^d) is taken only while a factor of degree d can remain: at
     # n = 2 one power decides, and x^2 + 1 is irreducible mod 7
     calls = []
     powmod = gfpoly.gf_powmod
     monkeypatch.setattr(gfpoly, "gf_powmod", lambda *a: calls.append(1) or powmod(*a))
-    assert gfpoly.distinct_degree_factorization([1, 0, 1], 7) == [(2, [1, 0, 1])]
+    assert gfpoly.factor_degrees([1, 0, 1], 7) == [(2, 1)]
     assert len(calls) == 1
-    # (x^2 + 1)(x - 1)(x - 2)(x - 3) mod 7: the linear class at d = 1 leaves
-    # degree 2 < 4, so no second power
+    # (x^2 + 1)(x - 1)(x - 2)(x - 3) mod 7: the linear factors at d = 1
+    # leave degree 2 < 4, so no second power
     calls.clear()
     f = [1, 1, 5, 2, 4, 1]
-    assert gfpoly.distinct_degree_factorization(f, 7) == [(1, [1, 1, 4, 1]), (2, [1, 0, 1])]
+    assert gfpoly.factor_degrees(f, 7) == [(1, 1), (1, 1), (1, 1), (2, 1)]
+    assert len(calls) == 1
+    # (x - 1)^2 (x^2 + 1) mod 7: peeling the square at d = 1 takes gcds,
+    # not powers
+    calls.clear()
+    assert gfpoly.factor_degrees([1, 5, 2, 5, 1], 7) == [(1, 2), (2, 1)]
     assert len(calls) == 1

@@ -26,7 +26,14 @@ from pencilorbits.rings import (
     to_zeta_coords,
     zeta_element,
 )
-from conftest import factor, random_nondegenerate, random_unimodular, scaled_ideal, serial_square_class
+from conftest import (
+    distinct_degree_factorization,
+    factor,
+    random_nondegenerate,
+    random_unimodular,
+    scaled_ideal,
+    serial_square_class,
+)
 
 
 def test_structure_constants_examples():
@@ -323,7 +330,7 @@ def test_same_square_class_witness_inside_one_ddf_class():
     # is a non-square mod x^2 + 1 only.
     f = BinaryForm((1, 0, 3, 0, 2))
     gamma = linear_element(f, 2, 1)
-    assert gfpoly.distinct_degree_factorization([1, 0, 3, 0, 2], 7) == [(2, [1, 0, 3, 0, 2])]
+    assert distinct_degree_factorization([1, 0, 3, 0, 2], 7) == [(2, [1, 0, 3, 0, 2])]
     assert gfpoly.gf_powmod([2, 1], 24, [1, 0, 1], 7) != [1]
     assert gfpoly.gf_powmod([2, 1], 24, [1, 0, 2], 7) == [1]
     assert same_square_class(rings.element_one(f), gamma, trials=1) == SquareClassVerdict.DISTINCT
@@ -427,13 +434,13 @@ def test_good_primes_give_squarefree_reductions():
                 continue
             for p in itertools.islice(rings._good_primes(abs(f.coeffs[0] * f.disc)), 50):
                 fbar = gfpoly.gf_monic(gfpoly.normalize(f.univariate(), p), p)
-                assert gfpoly.gf_gcd(fbar, gfpoly.gf_derivative(fbar, p), p) == [1], (f.coeffs, p)
+                assert gfpoly.gf_gcd(fbar, gfpoly.normalize(intpoly.derivative(fbar), p), p) == [1], (f.coeffs, p)
 
 
 def _serial_squares(fbar, gamma, p):
     """Whether gamma is a square in every residue field of F_p[x]/(fbar):
     one gf_powmod test per distinct-degree class, as serial_square_class."""
-    classes = gfpoly.distinct_degree_factorization(fbar, p)
+    classes = distinct_degree_factorization(fbar, p)
     return all(gfpoly.gf_powmod(gamma, (p**d - 1) // 2, g, p) == [1] for d, g in classes)
 
 
@@ -444,7 +451,7 @@ def test_frobenius_ranks_int64_bound():
     p = (1 << 31) - 1
     seen = set()
     for fbar in ([1, 5, 3], [1, p - 3, 2], [1, 0, 1]):
-        nfactors = sum((len(g) - 1) // d for d, g in gfpoly.distinct_degree_factorization(fbar, p))
+        nfactors = sum((len(g) - 1) // d for d, g in distinct_degree_factorization(fbar, p))
         for gamma in ([7, 2], [1, 2], [1, 3], [p - 1], [3]):
             ranks = rings._frobenius_ranks([3 * c for c in fbar], [5 * c for c in gamma], 5, [p])
             assert ranks[0, 0] == 2 - nfactors

@@ -26,6 +26,7 @@ from conftest import (
     point_search_oracle,
     random_nondegenerate,
     soluble_by_exhaustion,
+    squarefree_decomposition,
     unit_square_value_oracle,
 )
 
@@ -276,7 +277,7 @@ def test_unit_square_value_large_p_against_squarefree_decomposition(rng):
                 want = unit_square_value_oracle(hbar, p)
                 assert _takes_unit_square_value(hbar, p) == want, (p, m, hbar)
                 assert search._is_lc_times_square(hbar, p) == (
-                    len(hbar) % 2 == 1 and not any(j % 2 for _, j in gfpoly.squarefree_decomposition(hbar, p))
+                    len(hbar) % 2 == 1 and not any(j % 2 for _, j in squarefree_decomposition(hbar, p))
                 )
 
 
