@@ -246,7 +246,9 @@ def _quartic_key(fc: tuple[int, ...]) -> int:
 
 
 def square_value_count(f: BinaryForm, p: int) -> int:
-    """k = #{(a:b) in P^1(F_p) : f(a,b) is a square}, 0 counted as a square."""
+    """k = #{(a:b) in P^1(F_p) : f(a,b) is a square}, 0 counted as a square.
+    ValueError unless p is an odd prime."""
+    require_prime(p)
     if p == 2:
         raise ValueError("defined for odd p")
     return _square_value_count(tuple(c % p for c in f.coeffs), p)
@@ -266,7 +268,16 @@ def orbit_statistics_prediction(f: BinaryForm, p: int) -> OrbitStats:
     stabilizers of size 2^m for odd p, m the number of irreducible factors of
     f over F_p, computed for odd p only (one orbit, trivial stabilizer at
     p = 2, where m plays no part); total elements #SL_n(F_p) either way.
-    ValueError unless p is prime and f is separable mod p."""
+    ValueError unless p is prime and f is separable mod p.
+
+    At n = 2, m = 2 exactly when Disc(f) is a nonzero square mod p, read by
+    Euler's criterion from the cached f.disc (pow reduces a negative Disc
+    into [0, p)).  Proof, p odd and f separable, so p does not divide Disc:
+    if f0 != 0 mod p, f splits into two distinct linear forms exactly when
+    Disc = f1^2 - 4 f0 f2 is a square, by the quadratic formula; if
+    f0 = 0 mod p, f = y (f1 x + f2 y) with f1 != 0, so Disc = f1^2 is a
+    square and m = 2.  At n >= 4 the parity law (-1)^(n-m) = (Disc / p)
+    (Stickelberger) does not fix m, which comes from the factorization."""
     if not is_separable_mod_p(f, p):
         raise ValueError("form is not separable mod p")
     n = f.degree
@@ -274,7 +285,10 @@ def orbit_statistics_prediction(f: BinaryForm, p: int) -> OrbitStats:
     if p == 2:
         orbits, stab = 1, 1
     else:
-        m = factorization_type_mod_p(f, p).m
+        if n == 2:
+            m = 2 if pow(f.disc, (p - 1) // 2, p) == 1 else 1
+        else:
+            m = factorization_type_mod_p(f, p).m
         orbits, stab = 2 ** (m - 1), 2**m
     return OrbitStats(
         p=p,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pencilorbits import finite_fields
-from pencilorbits.forms import BinaryForm, is_separable_mod_p
+from pencilorbits.forms import BinaryForm, factorization_type_mod_p, is_separable_mod_p
 from pencilorbits.orbits import SymmetricPair, invariant_form
 from pencilorbits.finite_fields import (
     BudgetExceededError,
@@ -149,6 +149,8 @@ def test_census_total():
 def test_square_value_count_examples():
     assert square_value_count(BinaryForm((0, 1, 0)), 3) == 3
     assert square_value_count(BinaryForm((1, 0, 0)), 3) == 4
+    with pytest.raises(ValueError, match="defined for odd p"):
+        square_value_count(BinaryForm((1, 1, 1)), 2)
 
 
 def test_square_value_complementarity(rng):
@@ -175,6 +177,33 @@ def test_prediction_examples(rng):
     assert pred.orbit_count == 1 and pred.stabilizer_sizes == (1,)
     with pytest.raises(ValueError):
         orbit_statistics_prediction(BinaryForm((1, 2, 1)), 2)
+
+
+def test_prediction_matches_factor_count(rng):
+    # m from the Legendre symbol at n = 2 (every separable form at p = 11
+    # and 13, past the count's budget) and from the factorization at n >= 4
+    # (seeded quartics and sextics at p = 3 and 5): 2^(m-1) orbits, each
+    # with a stabilizer of order 2^m
+    cases = [
+        (BinaryForm(coeffs), p) for p in (11, 13) for coeffs in itertools.product(range(p), repeat=3)
+    ]
+    cases += [
+        (BinaryForm(tuple(rng.randint(-20, 20) for _ in range(n + 1))), p)
+        for n in (4, 6)
+        for p in (3, 5)
+        for _ in range(40)
+    ]
+    checked = 0
+    for f, p in cases:
+        if not is_separable_mod_p(f, p):
+            continue
+        m = factorization_type_mod_p(f, p).m
+        pred = orbit_statistics_prediction(f, p)
+        assert pred.orbit_count == 2 ** (m - 1), (p, f.coeffs)
+        assert pred.stabilizer_sizes == (2**m,) * 2 ** (m - 1), (p, f.coeffs)
+        assert pred.total_elements == sl_n_order(f.degree, p)
+        checked += 1
+    assert checked > 3000
 
 
 def test_mod_p_caches_key_on_p_and_reduced_coefficients():

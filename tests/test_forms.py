@@ -214,3 +214,22 @@ def test_separability(rng):
     cases += [(f, p) for f in sextics for p in (2, 3, 5, 7)]
     for f, p in cases:
         assert is_separable_mod_p(f, p) == separable(f, p), (p, f.coeffs)
+
+
+def test_disc_parity_law(rng):
+    # Stickelberger: for p odd and f separable mod p, (-1)^(n - m) is the
+    # Legendre symbol (Disc(f) / p); about a fifth of the draws have f0 = 0
+    # mod p, where y is a factor
+    for n in (2, 4, 6, 8, 10):
+        for p in (3, 5, 7, 11, 13):
+            for draw in range(40):
+                while True:
+                    coeffs = [rng.randint(-30, 30) for _ in range(n + 1)]
+                    if draw % 5 == 0:
+                        coeffs[0] = p * rng.randint(-3, 3)
+                    f = BinaryForm(tuple(coeffs))
+                    if is_separable_mod_p(f, p):
+                        break
+                m = factorization_type_mod_p(f, p).m
+                legendre = 1 if pow(f.disc, (p - 1) // 2, p) == 1 else -1
+                assert (-1) ** (n - m) == legendre, (p, coeffs)

@@ -243,6 +243,7 @@ def test_one_prime_check_for_every_local_computation():
         lambda p: densities.mu_p_distribution(4, p),
         lambda p: finite_fields.count_pairs_with_form(f, p),
         lambda p: finite_fields.orbit_statistics_prediction(f, p),
+        lambda p: finite_fields.square_value_count(f, p),
         lambda p: search.locally_soluble_p(f, p),
     )
     for call in calls:
